@@ -227,6 +227,29 @@ mod tests {
     }
 
     #[tokio::test]
+    async fn loopback_payload_rtt_is_not_inflated_by_the_transport() {
+        // Probe fidelity: the transport must add no fixed quantum to a
+        // measured RTT. A 1 KB loopback echo takes tens of µs, so the
+        // median must sit well below 250 µs, the step a timer-driven
+        // readiness retry would add to every read.
+        let addr = echo_server().await;
+        let payload = vec![0x5Au8; 1_000];
+        let mut rtts = Vec::with_capacity(200);
+        for _ in 0..200 {
+            let r = tcp_ping(addr, Some(&payload), Duration::from_secs(2))
+                .await
+                .unwrap();
+            rtts.push(r.payload_rtt.unwrap());
+        }
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        assert!(
+            median < Duration::from_micros(250),
+            "median payload RTT {median:?}"
+        );
+    }
+
+    #[tokio::test]
     async fn oversized_payload_is_rejected_client_side() {
         let addr = echo_server().await;
         let payload = vec![0u8; MAX_PAYLOAD_BYTES + 1];

@@ -451,6 +451,27 @@ async fn bounded<T>(
     }
 }
 
+const REQUESTS_READ: &str = "pingmesh_httpx_requests_read_total";
+const RESPONSES_READ: &str = "pingmesh_httpx_responses_read_total";
+
+/// Reads one message within `deadline` (see [`bounded`]) and counts the
+/// outcome: success under `ok_counter`, any error under
+/// `pingmesh_httpx_read_errors_total`. Every reader, free function or
+/// [`Conn`] method, is counted here.
+async fn counted_read<T>(
+    ok_counter: &str,
+    deadline: Duration,
+    read: impl std::future::Future<Output = Result<T, HttpError>>,
+) -> Result<T, HttpError> {
+    let out = bounded(deadline, read).await;
+    let registry = pingmesh_obs::registry();
+    match &out {
+        Ok(_) => registry.counter(ok_counter).inc(),
+        Err(_) => registry.counter("pingmesh_httpx_read_errors_total").inc(),
+    }
+    out
+}
+
 /// Reads one request from the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
 pub async fn read_request<S: AsyncRead + Unpin>(stream: &mut S) -> Result<Request, HttpError> {
     read_request_with(stream, DEFAULT_IO_TIMEOUT).await
@@ -463,13 +484,12 @@ pub async fn read_request_with<S: AsyncRead + Unpin>(
     stream: &mut S,
     deadline: Duration,
 ) -> Result<Request, HttpError> {
-    let out = bounded(deadline, read_message(stream, parse_request_head)).await;
-    let registry = pingmesh_obs::registry();
-    match &out {
-        Ok(_) => registry.counter("pingmesh_httpx_requests_read_total").inc(),
-        Err(_) => registry.counter("pingmesh_httpx_read_errors_total").inc(),
-    }
-    out
+    counted_read(
+        REQUESTS_READ,
+        deadline,
+        read_message(stream, parse_request_head),
+    )
+    .await
 }
 
 /// Reads one response from the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
@@ -483,15 +503,12 @@ pub async fn read_response_with<S: AsyncRead + Unpin>(
     stream: &mut S,
     deadline: Duration,
 ) -> Result<Response, HttpError> {
-    let out = bounded(deadline, read_message(stream, parse_response_head)).await;
-    let registry = pingmesh_obs::registry();
-    match &out {
-        Ok(_) => registry
-            .counter("pingmesh_httpx_responses_read_total")
-            .inc(),
-        Err(_) => registry.counter("pingmesh_httpx_read_errors_total").inc(),
-    }
-    out
+    counted_read(
+        RESPONSES_READ,
+        deadline,
+        read_message(stream, parse_response_head),
+    )
+    .await
 }
 
 /// Writes a request to the stream, bounded by [`DEFAULT_IO_TIMEOUT`].
@@ -575,8 +592,8 @@ pub async fn write_response_chunked_with<S: AsyncWrite + Unpin>(
 /// reused stream. `Conn` owns a read buffer that preserves leftovers
 /// across messages, and a write buffer so a client can queue a batch of
 /// pipelined requests (or a server a batch of responses) and flush them
-/// in one syscall — the difference between ~4k and >100k req/s on this
-/// runtime's 250µs readiness-retry sockets.
+/// in one syscall: a pipelined burst then costs one write and one peer
+/// wakeup instead of one per message.
 pub struct Conn<S> {
     stream: S,
     rbuf: Vec<u8>,
@@ -641,7 +658,12 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
     /// Reads one request within `deadline`, preserving any pipelined
     /// bytes past it.
     pub async fn read_request_with(&mut self, deadline: Duration) -> Result<Request, HttpError> {
-        bounded(deadline, self.read_buffered(parse_request_head)).await
+        counted_read(
+            REQUESTS_READ,
+            deadline,
+            self.read_buffered(parse_request_head),
+        )
+        .await
     }
 
     /// Reads one response, bounded by [`DEFAULT_IO_TIMEOUT`].
@@ -652,7 +674,12 @@ impl<S: AsyncRead + AsyncWrite + Unpin> Conn<S> {
     /// Reads one response within `deadline`, preserving any pipelined
     /// bytes past it.
     pub async fn read_response_with(&mut self, deadline: Duration) -> Result<Response, HttpError> {
-        bounded(deadline, self.read_buffered(parse_response_head)).await
+        counted_read(
+            RESPONSES_READ,
+            deadline,
+            self.read_buffered(parse_response_head),
+        )
+        .await
     }
 
     /// Whether a complete request is already sitting in the read buffer

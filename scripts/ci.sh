@@ -36,7 +36,13 @@
 # escalation exercised, transition counts asserted) plus the real-socket
 # drill (a Refuse toxic on a live controller replica is detected by
 # live probes, drained out of the VIP rotation, and only verified back
-# in by a live fetch once the toxic clears).
+# in by a live fetch once the toxic clears). Pass --live-smoke to also
+# run the repository benchmark's two live workloads (perfbench
+# `live-query` and `live-ingest`) in smoke mode over real loopback
+# sockets: they gate on byte-identical dashboard responses, every upload
+# acknowledged, and the collector's store holding exactly the acked
+# records, so a rewrite of the socket runtime cannot pass on unit tests
+# alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +50,7 @@ BENCH_SMOKE=0
 CHAOS_SMOKE=0
 CRASH_SMOKE=0
 FUZZ_SMOKE=0
+LIVE_SMOKE=0
 MITIGATION_SMOKE=0
 OBS_SMOKE=0
 SCALE_SMOKE=0
@@ -54,6 +61,7 @@ for arg in "$@"; do
     --chaos-smoke) CHAOS_SMOKE=1 ;;
     --crash-smoke) CRASH_SMOKE=1 ;;
     --fuzz-smoke) FUZZ_SMOKE=1 ;;
+    --live-smoke) LIVE_SMOKE=1 ;;
     --mitigation-smoke) MITIGATION_SMOKE=1 ;;
     --obs-smoke) OBS_SMOKE=1 ;;
     --scale-smoke) SCALE_SMOKE=1 ;;
@@ -111,6 +119,16 @@ if [ "$MITIGATION_SMOKE" = 1 ]; then
   step "mitigation drill smoke (detect → drain → verify → un-drain, sim + live)"
   timeout 120 cargo test --release -q -p pingmesh-core --test mitigation_drill
   timeout 120 cargo test --release -q -p pingmesh-realmode --lib mitigate::
+fi
+
+if [ "$LIVE_SMOKE" = 1 ]; then
+  step "live smoke (perfbench live-query + live-ingest: byte identity, store == acked)"
+  # Build outside the timeout: perfbench has its own target directory.
+  cargo build --release -q --manifest-path perfbench/Cargo.toml
+  for workload in live-query live-ingest; do
+    timeout 300 cargo run --release --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --smoke
+  done
 fi
 
 if [ "$CHAOS_SMOKE" = 1 ]; then

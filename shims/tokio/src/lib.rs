@@ -1,12 +1,19 @@
 //! Offline in-tree shim for the subset of tokio this workspace uses.
 //!
-//! A small, entirely-std async runtime: a global worker pool with
-//! wake-coalescing tasks, one timer thread, nonblocking TCP with
-//! timer-driven readiness retries, an in-memory duplex pipe, `watch`
-//! channels, `JoinSet`, and a two-branch `select!`. See each module for
-//! the deliberate simplifications versus real tokio.
+//! A small async runtime on std plus a few Linux syscalls: a global worker
+//! pool with wake-coalescing tasks, one reactor thread that waits on epoll
+//! for socket readiness and fires timers, nonblocking TCP (including
+//! `connect`) that parks on the reactor instead of retrying, an in-memory
+//! duplex pipe, `watch` channels, `JoinSet`, and a two-branch `select!`.
+//! See each module for the deliberate simplifications versus real tokio.
+//!
+//! Linux-only: the reactor is built on epoll and eventfd.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the tokio shim's reactor uses epoll and supports Linux only");
 
 mod exec;
+mod reactor;
 mod timer;
 
 pub mod io;

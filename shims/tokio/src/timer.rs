@@ -1,92 +1,86 @@
-//! A single timer thread owning a min-heap of (deadline, waker) entries.
-//! There is no cancellation: stale entries produce a spurious wake, which
-//! the task state machine coalesces harmlessly.
+//! Timer entries, fired by the reactor thread.
+//!
+//! Entries live in an ordered map keyed by `(deadline, seq)`, so the
+//! earliest deadline is the first key and any entry can be removed. A
+//! [`Sleep`](crate::time::Sleep) owns at most one entry: it registers on
+//! its first pending poll, replaces the waker only when the task's waker
+//! changes, and removes the entry when it drops. A finished or abandoned
+//! timeout therefore leaves nothing behind.
+//!
+//! Adding an entry wakes the reactor (through its eventfd) only when the
+//! entry becomes the earliest deadline; otherwise the reactor's current
+//! `epoll_wait` timeout already covers it.
 
-use std::collections::BinaryHeap;
+use crate::reactor::{lock, reactor};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::task::Waker;
 use std::time::Instant;
 
-struct Entry {
+/// Identifies one timer entry.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Key {
     at: Instant,
     seq: u64,
-    waker: Waker,
 }
 
-// Reverse ordering so BinaryHeap pops the earliest deadline first.
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Entry {}
-
-struct TimerShared {
-    heap: Mutex<BinaryHeap<Entry>>,
-    cv: Condvar,
-    seq: AtomicU64,
-}
-
-fn shared() -> &'static TimerShared {
-    static TIMER: OnceLock<TimerShared> = OnceLock::new();
-    TIMER.get_or_init(|| {
-        std::thread::Builder::new()
-            .name("tokio-shim-timer".into())
-            .spawn(timer_loop)
-            .expect("spawn timer thread");
-        TimerShared {
-            heap: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-            seq: AtomicU64::new(0),
+impl Key {
+    /// A fresh key for a deadline at `at`.
+    pub(crate) fn new(at: Instant) -> Key {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        Key {
+            at,
+            seq: SEQ.fetch_add(1, Ordering::Relaxed),
         }
-    })
+    }
 }
 
-/// Arranges for `waker` to be woken at (or shortly after) `at`.
-pub(crate) fn register(at: Instant, waker: Waker) {
-    let t = shared();
-    let seq = t.seq.fetch_add(1, Ordering::Relaxed);
-    t.heap.lock().unwrap().push(Entry { at, seq, waker });
-    t.cv.notify_one();
+#[derive(Default)]
+pub(crate) struct Timers {
+    entries: Mutex<BTreeMap<Key, Waker>>,
 }
 
-fn timer_loop() {
-    let t = shared();
-    let mut heap = t.heap.lock().unwrap();
-    loop {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        while heap.peek().is_some_and(|e| e.at <= now) {
-            due.push(heap.pop().unwrap().waker);
-        }
-        if !due.is_empty() {
-            drop(heap);
-            for w in due {
-                w.wake();
+impl Timers {
+    /// Pops every entry due at `now` into `out`; returns the next deadline.
+    pub(crate) fn fire_due(&self, now: Instant, out: &mut Vec<Waker>) -> Option<Instant> {
+        let mut entries = lock(&self.entries);
+        while let Some(entry) = entries.first_entry() {
+            if entry.key().at > now {
+                return Some(entry.key().at);
             }
-            heap = t.heap.lock().unwrap();
-            continue;
+            out.push(entry.remove());
         }
-        heap = match heap.peek() {
-            Some(e) => {
-                let wait = e.at.saturating_duration_since(now);
-                t.cv.wait_timeout(heap, wait).unwrap().0
-            }
-            None => t.cv.wait(heap).unwrap(),
-        };
+        None
     }
+}
+
+/// Arranges for `waker` to be woken at `key`'s deadline, replacing any
+/// waker already registered under `key`.
+pub(crate) fn set(key: Key, waker: Waker) {
+    let r = reactor();
+    let mut entries = lock(&r.timers.entries);
+    let earliest = entries
+        .first_key_value()
+        .is_none_or(|(first, _)| key < *first);
+    let replaced = entries.insert(key, waker);
+    drop(entries);
+    if earliest {
+        r.notify();
+    }
+    // Dropped outside the lock: it may hold the last reference to a task
+    // whose future owns a `Sleep`, whose `Drop` takes the lock.
+    drop(replaced);
+}
+
+/// Removes `key`'s entry, if it has not fired yet.
+pub(crate) fn cancel(key: Key) {
+    let removed = lock(&reactor().timers.entries).remove(&key);
+    drop(removed); // after the guard, as in `set`
+}
+
+/// Number of registered entries.
+#[cfg(test)]
+pub(crate) fn len() -> usize {
+    lock(&reactor().timers.entries).len()
 }
