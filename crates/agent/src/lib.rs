@@ -16,10 +16,14 @@
 //!   fresh ephemeral source port per probe,
 //! * exported perf counters (P50/P99/drop rate) for the fast PA pipeline.
 //!
-//! [`sim::Agent`] is the driver used at fleet scale inside the discrete-
-//! event simulation; [`real`] contains the tokio TCP/HTTP prober and
-//! responder used in real-socket mode — the analogue of the paper's
-//! purpose-built IOCP network library.
+//! One state machine, two drivers. [`AgentFleet`] holds every agent
+//! transition — poll handling, the probe schedule, buffering and the
+//! upload cycle — as flat per-agent arrays. The discrete-event
+//! simulation drives one fleet per shard, feeding it simulated network
+//! outcomes; the real-socket agent (`pingmesh-realmode`'s `RealAgent`)
+//! drives a fleet of one, feeding it the outcomes of the tokio TCP/HTTP
+//! prober in [`real`] — the analogue of the paper's purpose-built IOCP
+//! network library.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,12 +33,9 @@ pub mod config;
 pub mod guard;
 pub mod real;
 pub mod scheduler;
-pub mod sim;
 pub mod soa;
 
 pub use buffer::ResultBuffer;
 pub use config::AgentConfig;
 pub use guard::SafetyGuard;
-pub use scheduler::ProbeScheduler;
-pub use sim::{Agent, ControllerPollOutcome};
-pub use soa::{AgentFleet, AgentView};
+pub use soa::{AgentFleet, AgentView, ControllerPollOutcome};

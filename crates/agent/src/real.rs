@@ -31,6 +31,8 @@ pub struct RealProbeResult {
     pub connect_rtt: Duration,
     /// Payload echo round trip, when a payload was exchanged.
     pub payload_rtt: Option<Duration>,
+    /// Ephemeral source port the OS assigned to the probe's connection.
+    pub src_port: u16,
 }
 
 /// Launches a TCP ping: fresh connection, optional payload echo.
@@ -56,6 +58,7 @@ pub async fn tcp_ping(
         .await
         .map_err(|_| io::Error::new(io::ErrorKind::TimedOut, "connect timed out"))??;
     let connect_rtt = started.elapsed();
+    let src_port = stream.local_addr()?.port();
     stream.set_nodelay(true)?;
 
     let payload_rtt = match payload {
@@ -92,6 +95,7 @@ pub async fn tcp_ping(
     Ok(RealProbeResult {
         connect_rtt,
         payload_rtt,
+        src_port,
     })
 }
 
@@ -202,6 +206,7 @@ mod tests {
         let r = tcp_ping(addr, None, Duration::from_secs(2)).await.unwrap();
         assert!(r.connect_rtt < Duration::from_secs(1));
         assert!(r.payload_rtt.is_none());
+        assert_ne!(r.src_port, 0, "the probe reports its ephemeral port");
     }
 
     #[tokio::test]

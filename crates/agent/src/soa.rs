@@ -1,11 +1,11 @@
-//! Struct-of-arrays agent fleet: the hot-state layout used at scale.
+//! Struct-of-arrays agent fleet: the one agent state machine.
 //!
-//! [`crate::sim::Agent`] keeps each agent's schedule in its own
-//! `BinaryHeap` behind its own allocations — fine for hundreds of agents,
-//! but a 100k-agent simulation turns every wake into a pointer chase
-//! through 100k scattered heaps. [`AgentFleet`] holds the same state
-//! flattened into parallel arenas (the same move `InlineVec` made for
-//! `Path.hops`):
+//! Every agent transition lives here: pinglist sanitize/guard, the
+//! deterministic probe schedule, bounded result buffering and the
+//! retry-then-discard upload cycle. The simulation drives a fleet of one
+//! agent per server; the real-socket agent drives a fleet of one. The
+//! state is flattened into parallel arenas (the same move `InlineVec`
+//! made for `Path.hops`) so a 100k-agent wake is no pointer chase:
 //!
 //! * all pinglist entries live in one `Vec<PinglistEntry>` arena, each
 //!   agent owning a contiguous [`Segment`] of it;
@@ -15,23 +15,64 @@
 //!   generation, lifetime ledgers) are plain `Vec`s indexed by the fleet
 //!   index.
 //!
-//! Behaviour is identical to `Agent` (the differential test below drives
-//! both through the same script): same sanitize/guard transitions, same
-//! deterministic probe phases, same port rotation, same due order
-//! (`(due time, entry index)` — the heap's pop order). The sharded
-//! orchestrator gives each shard its own `AgentFleet` over its podset's
-//! servers, so fleets are mutated thread-locally and need no locks.
+//! The schedule contract (pinned by the spec test below): entry `i`
+//! first fires at `install time + phase_of(server, i, interval)`, then
+//! every `interval` after the wake that fired it; each wake emits its due
+//! entries in `(due time, entry index)` order; source ports count up from
+//! `EPHEMERAL_LO` and wrap at `u16::MAX`. The sharded orchestrator gives
+//! each shard its own `AgentFleet` over its podset's servers, so fleets
+//! are mutated thread-locally and need no locks.
 
 use crate::buffer::ResultBuffer;
 use crate::config::AgentConfig;
 use crate::guard::{GuardDecision, SafetyGuard};
-use crate::scheduler::{DueProbe, ProbeScheduler, EPHEMERAL_LO};
-use crate::sim::{metrics, ControllerPollOutcome};
+use crate::scheduler::{phase_of, DueProbe, EPHEMERAL_LO};
 use pingmesh_topology::Topology;
 use pingmesh_types::{
-    AgentCounters, CounterSnapshot, Pinglist, ProbeOutcome, ProbeRecord, ServerId, SimTime,
+    AgentCounters, CounterSnapshot, Pinglist, PinglistEntry, ProbeOutcome, ProbeRecord, ServerId,
+    SimTime,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Fleet-wide agent metrics. Every agent shares these handles, so they
+/// are resolved once; each touch is an atomic add.
+struct AgentMetrics {
+    probes_sent: Arc<pingmesh_obs::Counter>,
+    guard_trips: Arc<pingmesh_obs::Counter>,
+    sanitized: Arc<pingmesh_obs::Counter>,
+    uploads_started: Arc<pingmesh_obs::Counter>,
+    upload_retries: Arc<pingmesh_obs::Counter>,
+    records_discarded: Arc<pingmesh_obs::Counter>,
+    upload_batch_size: Arc<pingmesh_obs::Histogram>,
+}
+
+fn metrics() -> &'static AgentMetrics {
+    static M: OnceLock<AgentMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        let r = pingmesh_obs::registry();
+        AgentMetrics {
+            probes_sent: r.counter("pingmesh_agent_probes_sent_total"),
+            guard_trips: r.counter("pingmesh_agent_guard_trips_total"),
+            sanitized: r.counter("pingmesh_agent_sanitized_entries_total"),
+            uploads_started: r.counter("pingmesh_agent_uploads_started_total"),
+            upload_retries: r.counter("pingmesh_agent_upload_retries_total"),
+            records_discarded: r.counter("pingmesh_agent_records_discarded_total"),
+            upload_batch_size: r.histogram("pingmesh_agent_upload_batch_size"),
+        }
+    })
+}
+
+/// What a controller poll produced (transport-agnostic: the orchestrator
+/// adapts the in-process SLB, the real agent adapts HTTP).
+#[derive(Debug, Clone)]
+pub enum ControllerPollOutcome {
+    /// A pinglist was served.
+    Pinglist(Pinglist),
+    /// The controller answered but had no pinglist (fleet stop switch).
+    NoPinglist,
+    /// The controller (VIP) was unreachable.
+    Unreachable,
+}
 
 /// "No wake pending" sentinel in the `next_wake` arena (scans stay
 /// branch-free: the min of an empty segment is simply the sentinel).
@@ -53,7 +94,7 @@ pub struct AgentFleet {
     servers: Vec<ServerId>,
     // --- hot state: arenas + per-agent scalars ---
     segs: Vec<Segment>,
-    entries: Vec<pingmesh_types::PinglistEntry>,
+    entries: Vec<PinglistEntry>,
     due: Vec<SimTime>,
     next_wake: Vec<SimTime>,
     next_port: Vec<u16>,
@@ -145,9 +186,21 @@ impl AgentFleet {
         self.segs[idx].len as usize
     }
 
+    /// Agent `idx`'s installed (sanitized) pinglist entries, in pinglist
+    /// order.
+    pub fn entries(&self, idx: usize) -> &[PinglistEntry] {
+        let seg = self.segs[idx];
+        &self.entries[seg.start as usize..][..seg.len as usize]
+    }
+
     /// Entries the guard had to clamp over agent `idx`'s lifetime.
     pub fn sanitized_entries(&self, idx: usize) -> u64 {
         self.sanitized_entries[idx]
+    }
+
+    /// Consecutive failed controller polls of agent `idx`.
+    pub fn controller_failures(&self, idx: usize) -> u32 {
+        self.guards[idx].failures()
     }
 
     fn note_guard_trip(&self, idx: usize, reason: &'static str, now: SimTime) {
@@ -174,7 +227,7 @@ impl AgentFleet {
         let start = seg.start as usize;
         let mut min_due = NEVER;
         for (i, e) in pl.entries.iter().enumerate() {
-            let phase = ProbeScheduler::phase_of(server, i, e.interval.as_micros());
+            let phase = phase_of(server, i, e.interval.as_micros());
             let due = now + pingmesh_types::SimDuration(phase);
             if grow {
                 self.entries.push(*e);
@@ -193,8 +246,9 @@ impl AgentFleet {
         self.next_wake[idx] = NEVER;
     }
 
-    /// Folds a controller poll result into agent `idx` (same transitions
-    /// as [`crate::sim::Agent::on_controller_poll`]).
+    /// Folds a controller poll result into agent `idx`: sanitize and
+    /// install a served pinglist (reinstalling, and so re-phasing, only on
+    /// a new generation), or count a failure toward the fail-closed stop.
     pub fn on_controller_poll(&mut self, idx: usize, outcome: ControllerPollOutcome, now: SimTime) {
         let was_stopped = self.guards[idx].is_stopped();
         match outcome {
@@ -240,9 +294,9 @@ impl AgentFleet {
     }
 
     /// Probes of agent `idx` due at `now`: a linear sweep of the agent's
-    /// due segment, emitted in the legacy heap's pop order
-    /// `(due time, entry index)` so port assignment matches `Agent`
-    /// exactly. Hand the buffer back via [`AgentFleet::recycle_due`].
+    /// due segment, emitted in `(due time, entry index)` order, each with
+    /// the next ephemeral source port. Hand the buffer back via
+    /// [`AgentFleet::recycle_due`].
     pub fn due_probes(&mut self, idx: usize, now: SimTime) -> Vec<DueProbe> {
         let mut out = std::mem::take(&mut self.due_scratch);
         out.clear();
@@ -292,8 +346,10 @@ impl AgentFleet {
         }
     }
 
-    /// Feeds a probe's network outcome back into agent `idx` (same
-    /// bookkeeping as [`crate::sim::Agent::record_outcome`]).
+    /// Feeds a probe's network outcome back into agent `idx`: updates
+    /// counters and buffers a record. `dst` is the physical server that
+    /// was reached (VIPs resolve to a DIP); probes whose target could not
+    /// be resolved are counted but produce no record.
     pub fn record_outcome(
         &mut self,
         idx: usize,
@@ -395,6 +451,11 @@ impl AgentFleet {
         self.buffers[idx].len() as u64
     }
 
+    /// Agent `idx`'s capped local log (oldest line first).
+    pub fn log_lines(&self, idx: usize) -> impl Iterator<Item = &str> {
+        self.buffers[idx].log_lines()
+    }
+
     /// Whether agent `idx` has an upload batch in flight.
     pub fn has_pending_upload(&self, idx: usize) -> bool {
         self.buffers[idx].has_pending()
@@ -412,17 +473,15 @@ impl AgentFleet {
         snap
     }
 
-    /// A read-only single-agent view (the accessor surface `Agent` had,
-    /// minus `&mut` operations — what oracles and watchdogs consume).
+    /// A read-only single-agent view (what oracles and watchdogs consume).
     pub fn view(&self, idx: usize) -> AgentView<'_> {
         AgentView { fleet: self, idx }
     }
 }
 
-/// Read-only view of one agent in an [`AgentFleet`], method-compatible
-/// with the accessor surface of [`crate::sim::Agent`] so fleet-wide
-/// invariant checks (`orch.agent(s).probes_observed()` …) are agnostic to
-/// the storage layout.
+/// Read-only view of one agent in an [`AgentFleet`], so fleet-wide
+/// invariant checks (`orch.agent(s).probes_observed()` …) read one agent
+/// without carrying its fleet index around.
 #[derive(Clone, Copy)]
 pub struct AgentView<'a> {
     fleet: &'a AgentFleet,
@@ -494,137 +553,204 @@ impl AgentView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Agent;
     use pingmesh_topology::TopologySpec;
-    use pingmesh_types::{PingTarget, PinglistEntry, ProbeKind, QosClass, SimDuration};
+    use pingmesh_types::{PingTarget, ProbeKind, QosClass, SimDuration};
     use std::net::Ipv4Addr;
+    use ControllerPollOutcome::{NoPinglist, Unreachable};
 
     fn topo() -> Arc<Topology> {
         Arc::new(Topology::build(TopologySpec::single_tiny()).unwrap())
     }
 
-    fn pinglist(server: ServerId, generation: u64, n: usize) -> Pinglist {
-        Pinglist {
-            server,
-            generation,
-            entries: (0..n)
-                .map(|i| PinglistEntry {
-                    target: PingTarget::Server {
-                        id: ServerId(1 + i as u32),
-                        ip: Ipv4Addr::new(10, 0, 0, 1 + i as u8),
-                    },
-                    port: 8100,
-                    kind: ProbeKind::TcpSyn,
-                    qos: QosClass::High,
-                    interval: SimDuration::from_secs(10 + i as u64),
-                })
-                .collect(),
+    fn entry(peer: u32, interval_s: u64) -> PinglistEntry {
+        PinglistEntry {
+            target: PingTarget::Server {
+                id: ServerId(peer),
+                ip: Ipv4Addr::new(10, 0, 0, peer as u8),
+            },
+            port: 8100,
+            kind: ProbeKind::TcpSyn,
+            qos: QosClass::High,
+            interval: SimDuration::from_secs(interval_s),
         }
     }
 
-    /// The load-bearing test: a fleet agent and a legacy `Agent` driven
-    /// through the same script must agree on everything observable —
-    /// wake times, due probes (order and ports), counters, ledgers.
+    /// A pinglist of `n` peers, entry `i` every `10 + i` seconds.
+    fn list(server: ServerId, generation: u64, n: usize) -> ControllerPollOutcome {
+        let entries = (0..n).map(|i| entry(1 + i as u32, 10 + i as u64)).collect();
+        ControllerPollOutcome::Pinglist(Pinglist {
+            server,
+            generation,
+            entries,
+        })
+    }
+
+    fn fleet_of_one(server: ServerId) -> (AgentFleet, usize) {
+        let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
+        let idx = fleet.push_server(server);
+        (fleet, idx)
+    }
+
+    fn wake(fleet: &mut AgentFleet, idx: usize, now: SimTime) -> Vec<usize> {
+        fleet
+            .due_probes(idx, now)
+            .iter()
+            .map(|d| d.entry_index)
+            .collect()
+    }
+
+    /// The schedule contract, checked against a hand-written expectation
+    /// rather than against another implementation: entry `i` fires at
+    /// `t0 + phase_of(server, i, interval_i) + k·interval_i`, each wake
+    /// emits in `(due, entry index)` order, and ports count up from
+    /// `EPHEMERAL_LO`, wrapping at `u16::MAX`.
     #[test]
-    fn fleet_agent_matches_legacy_agent_step_for_step() {
-        let topo = topo();
-        let mut legacy = Agent::new(ServerId(0), topo.clone(), AgentConfig::default());
-        let mut fleet = AgentFleet::new(topo, AgentConfig::default());
-        let idx = fleet.push_server(ServerId(0));
+    fn schedule_matches_the_spec() {
+        let server = ServerId(3);
+        let (mut fleet, idx) = fleet_of_one(server);
+        let ivl_s = [10u64, 20, 10, 10, 20, 10];
+        let n = ivl_s.len();
+        let ivl = |i: usize| SimDuration::from_secs(ivl_s[i]);
+        let entries = (0..n).map(|i| entry(1 + i as u32, ivl_s[i])).collect();
+        let t0 = SimTime(1_000);
+        let pl = Pinglist {
+            server,
+            generation: 1,
+            entries,
+        };
+        fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl), t0);
 
-        let polls = [
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 5)),
-            ControllerPollOutcome::Unreachable,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 5)), // same gen: no reinstall
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 2, 3)), // shrink in place
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 3, 7)), // grow to tail
-        ];
-        let mut now = SimTime::ZERO;
-        for poll in polls {
-            legacy.on_controller_poll(poll.clone(), now);
-            fleet.on_controller_poll(idx, poll, now);
-            assert_eq!(legacy.generation(), fleet.generation(idx));
-            assert_eq!(legacy.peer_count(), fleet.peer_count(idx));
-            assert_eq!(legacy.next_wakeup(), fleet.next_wakeup(idx));
+        // First fires are spread inside each entry's interval.
+        let first: Vec<SimTime> = (0..n)
+            .map(|i| t0 + SimDuration(phase_of(server, i, ivl(i).as_micros())))
+            .collect();
+        assert!((0..n).all(|i| first[i] < t0 + ivl(i)));
+        assert!(first.iter().any(|&t| t != first[0]), "phases spread");
 
-            // Run a few wake rounds and compare the due streams.
-            for _ in 0..4 {
-                let Some(t) = legacy.next_wakeup() else { break };
-                assert_eq!(fleet.next_wakeup(idx), Some(t));
-                now = t;
-                let dl = legacy.due_probes(now);
-                let df = fleet.due_probes(idx, now);
-                assert_eq!(dl, df, "due stream diverged at {now:?}");
-                for d in &dl {
-                    let outcome = if d.entry_index % 3 == 0 {
-                        ProbeOutcome::Timeout
-                    } else {
-                        ProbeOutcome::Success {
-                            rtt: SimDuration::from_micros(300),
-                        }
-                    };
-                    let dst = (d.entry_index % 4 != 1).then_some(ServerId(1));
-                    legacy.record_outcome(d, dst, outcome, now);
-                    fleet.record_outcome(idx, d, dst, outcome, now);
-                }
-                legacy.recycle_due(dl);
-                fleet.recycle_due(df);
+        // On-time wakes: the emitted stream is every firing instance
+        // `(first_i + k·interval_i, i)` below the horizon, sorted.
+        let horizon = t0 + SimDuration::from_secs(60);
+        let mut expected: Vec<(SimTime, usize)> = (0..n)
+            .flat_map(|i| (0..6).map(move |k| (i, k)))
+            .map(|(i, k)| (first[i] + SimDuration(k * ivl(i).as_micros()), i))
+            .filter(|&(t, _)| t < horizon)
+            .collect();
+        expected.sort();
+        let mut fired = [0u64; 6];
+        let mut got = Vec::new();
+        while got.len() < expected.len() {
+            let t = fleet.next_wakeup(idx).unwrap();
+            for d in fleet.due_probes(idx, t) {
+                assert_eq!(d.src_port, EPHEMERAL_LO + got.len() as u16);
+                fired[d.entry_index] += 1;
+                got.push((t, d.entry_index));
             }
-            assert_eq!(legacy.probes_observed(), fleet.probes_observed(idx));
-            assert_eq!(legacy.unresolved_probes(), fleet.unresolved_probes(idx));
-            assert_eq!(legacy.buffered_records(), fleet.buffered_records(idx));
-            assert_eq!(legacy.counters(), fleet.counters(idx));
+        }
+        assert_eq!(got, expected);
+
+        // A late wake fires every entry once, ordered by how overdue it
+        // is (its due time), not by index.
+        let late = horizon + SimDuration::from_secs(20);
+        let mut overdue: Vec<(SimTime, usize)> = (0..n)
+            .map(|i| (first[i] + SimDuration(fired[i] * ivl(i).as_micros()), i))
+            .collect();
+        overdue.sort();
+        let want: Vec<usize> = overdue.iter().map(|&(_, i)| i).collect();
+        assert_ne!(want, (0..n).collect::<Vec<_>>(), "case must discriminate");
+        assert_eq!(wake(&mut fleet, idx, late), want);
+
+        // Everything was rescheduled to `late + interval_i`, so the
+        // following wakes tie on due time and emit in index order.
+        for (after_s, want) in [(10, vec![0, 2, 3, 5]), (20, (0..n).collect())] {
+            let t = fleet.next_wakeup(idx).unwrap();
+            assert_eq!(t, late + SimDuration::from_secs(after_s));
+            assert_eq!(wake(&mut fleet, idx, t), want);
         }
 
-        // Upload path parity.
-        assert_eq!(
-            legacy.upload_due(now + SimDuration::from_secs(3600)),
-            fleet.upload_due(idx, now + SimDuration::from_secs(3600))
-        );
-        let bl = legacy.begin_upload();
-        let bf = fleet.begin_upload(idx);
-        assert_eq!(bl, bf);
-        if let (Some(bl), Some(bf)) = (bl, bf) {
-            assert_eq!(
-                legacy.on_upload_result(false),
-                fleet.on_upload_result(idx, false)
-            );
-            assert_eq!(
-                legacy.on_upload_result(true),
-                fleet.on_upload_result(idx, true)
-            );
-            legacy.recycle_batch(bl);
-            fleet.recycle_batch(idx, bf);
-        }
-        assert_eq!(legacy.has_pending_upload(), fleet.has_pending_upload(idx));
-        assert_eq!(legacy.discarded_total(), fleet.discarded_total(idx));
-        assert_eq!(legacy.collect_counters(), fleet.collect_counters(idx));
+        // Port rotation wraps at u16::MAX back to the ephemeral floor.
+        fleet.next_port[idx] = u16::MAX;
+        let t = fleet.next_wakeup(idx).unwrap();
+        let ports: Vec<u16> = fleet
+            .due_probes(idx, t)
+            .iter()
+            .map(|d| d.src_port)
+            .collect();
+        assert_eq!(ports[..2], [u16::MAX, EPHEMERAL_LO]);
     }
 
     #[test]
     fn guard_transitions_clear_schedule() {
-        let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
-        let idx = fleet.push_server(ServerId(0));
-        fleet.on_controller_poll(
-            idx,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 3)),
-            SimTime::ZERO,
-        );
-        assert_eq!(fleet.peer_count(idx), 3);
-        fleet.on_controller_poll(idx, ControllerPollOutcome::NoPinglist, SimTime(1));
-        assert!(fleet.is_stopped(idx));
-        assert_eq!(fleet.peer_count(idx), 0);
-        assert_eq!(fleet.next_wakeup(idx), None);
-        assert!(fleet.due_probes(idx, SimTime(100_000_000)).is_empty());
-        // Recovery reinstalls (new generation) and resumes.
-        fleet.on_controller_poll(
-            idx,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 4, 2)),
-            SimTime(2),
-        );
-        assert!(!fleet.is_stopped(idx));
-        assert_eq!(fleet.peer_count(idx), 2);
-        assert!(fleet.next_wakeup(idx).is_some());
+        // An empty controller stops at once, an unreachable one on the
+        // third consecutive failure.
+        for (stop, polls) in [(NoPinglist, 1), (Unreachable, 3)] {
+            let (mut fleet, idx) = fleet_of_one(ServerId(0));
+            fleet.on_controller_poll(idx, list(ServerId(0), 1, 3), SimTime::ZERO);
+            // A same-generation re-poll keeps the schedule's phases.
+            let first_due = fleet.next_wakeup(idx);
+            fleet.on_controller_poll(idx, list(ServerId(0), 1, 3), SimTime(5_000_000));
+            assert_eq!(fleet.next_wakeup(idx), first_due);
+            for p in 1..=polls {
+                // Below the threshold the schedule stays (stale grace).
+                assert!(!fleet.is_stopped(idx), "{stop:?}: stopped before poll {p}");
+                assert_eq!(fleet.entries(idx).len(), 3);
+                fleet.on_controller_poll(idx, stop.clone(), SimTime(p));
+            }
+            assert!(fleet.is_stopped(idx), "{stop:?}");
+            assert_eq!(fleet.peer_count(idx), 0);
+            assert_eq!(fleet.generation(idx), 0);
+            assert_eq!(fleet.next_wakeup(idx), None);
+            assert!(fleet.due_probes(idx, SimTime(100_000_000)).is_empty());
+            // Recovery reinstalls (new generation) and resumes.
+            fleet.on_controller_poll(idx, list(ServerId(0), 4, 2), SimTime(10));
+            assert!(!fleet.is_stopped(idx));
+            assert_eq!(fleet.controller_failures(idx), 0);
+            assert_eq!((fleet.generation(idx), fleet.peer_count(idx)), (4, 2));
+            assert!(fleet.next_wakeup(idx).unwrap() >= SimTime(10));
+        }
+    }
+
+    #[test]
+    fn outcomes_become_records_counters_and_ledgers() {
+        let topo = topo();
+        let (mut fleet, idx) = fleet_of_one(ServerId(0));
+        // Sub-floor intervals are clamped and counted.
+        let ControllerPollOutcome::Pinglist(mut pl) = list(ServerId(0), 1, 2) else {
+            unreachable!()
+        };
+        pl.entries[1].interval = SimDuration::from_secs(1);
+        fleet.on_controller_poll(idx, ControllerPollOutcome::Pinglist(pl), SimTime::ZERO);
+        assert_eq!(fleet.sanitized_entries(idx), 1);
+        assert_eq!(fleet.entries(idx)[1].interval, SimDuration::from_secs(10));
+        let (mut now, mut due) = (SimTime::ZERO, Vec::new());
+        while due.len() < 2 {
+            now = fleet.next_wakeup(idx).unwrap();
+            due.extend(fleet.due_probes(idx, now));
+        }
+        // A resolved probe produces a record with denormalized scope; an
+        // unresolved one is counted but recordless.
+        let rtt = SimDuration::from_micros(200);
+        let ok = ProbeOutcome::Success { rtt };
+        fleet.record_outcome(idx, &due[0], Some(ServerId(1)), ok, now);
+        fleet.record_outcome(idx, &due[1], None, ProbeOutcome::Timeout, now);
+        assert_eq!(fleet.probes_observed(idx), 2);
+        assert_eq!(fleet.unresolved_probes(idx), 1);
+        assert_eq!(fleet.buffered_records(idx), 1);
+        assert_eq!(fleet.counters(idx).probes_failed, 1);
+        let batch = fleet.begin_upload(idx).unwrap();
+        let rec = batch[0];
+        assert_eq!((batch.len(), rec.src_port), (1, due[0].src_port));
+        assert_eq!(rec.src_pod, topo.server(ServerId(0)).pod);
+        assert_eq!(rec.dst_pod, topo.server(ServerId(1)).pod);
+        assert!(rec.is_intra_pod());
+        assert!(!fleet.on_upload_result(idx, true));
+        fleet.recycle_batch(idx, batch);
+        fleet.note_uploaded(idx, 64);
+        // PA collection exports the window, then resets it; the lifetime
+        // ledgers never reset.
+        let snap = fleet.collect_counters(idx);
+        assert_eq!((snap.probes_sent, snap.bytes_uploaded), (2, 64));
+        assert_eq!(fleet.counters(idx).probes_sent, 0, "window reset");
+        assert_eq!(fleet.view(idx).probes_observed(), 2);
     }
 
     #[test]
@@ -632,27 +758,20 @@ mod tests {
         let mut fleet = AgentFleet::new(topo(), AgentConfig::default());
         let a = fleet.push_server(ServerId(0));
         let b = fleet.push_server(ServerId(5));
-        fleet.on_controller_poll(
-            a,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 1, 4)),
-            SimTime::ZERO,
-        );
-        fleet.on_controller_poll(
-            b,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(5), 1, 2)),
-            SimTime::ZERO,
-        );
-        // Growing a's segment relocates it to the arena tail; b unaffected.
-        fleet.on_controller_poll(
-            a,
-            ControllerPollOutcome::Pinglist(pinglist(ServerId(0), 2, 9)),
-            SimTime(50),
-        );
-        assert_eq!(fleet.peer_count(a), 9);
-        assert_eq!(fleet.peer_count(b), 2);
+        fleet.on_controller_poll(a, list(ServerId(0), 1, 4), SimTime::ZERO);
+        fleet.on_controller_poll(b, list(ServerId(5), 1, 2), SimTime::ZERO);
+        let entries = |n: usize| -> Vec<PinglistEntry> {
+            (0..n).map(|i| entry(1 + i as u32, 10 + i as u64)).collect()
+        };
+        // Growing a's segment relocates it to the arena tail, shrinking
+        // reuses it in place; b is unaffected either way.
+        for (generation, n) in [(2, 9), (3, 3)] {
+            fleet.on_controller_poll(a, list(ServerId(0), generation, n), SimTime(50));
+            assert_eq!(fleet.entries(a), entries(n));
+            assert_eq!(fleet.entries(b), entries(2));
+        }
         let tb = fleet.next_wakeup(b).unwrap();
-        let due_b = fleet.due_probes(b, tb);
-        assert!(!due_b.is_empty());
-        assert!(due_b.iter().all(|d| d.entry_index < 2));
+        let due_b = wake(&mut fleet, b, tb);
+        assert!(!due_b.is_empty() && due_b.iter().all(|&i| i < 2));
     }
 }

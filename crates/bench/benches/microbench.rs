@@ -7,7 +7,7 @@
 //! Run with `cargo bench -p pingmesh-bench`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pingmesh_core::agent::ProbeScheduler;
+use pingmesh_core::agent::{AgentConfig, AgentFleet, ControllerPollOutcome};
 use pingmesh_core::controller::{GeneratorConfig, PinglistGenerator};
 use pingmesh_core::dsa::agg::WindowAggregate;
 use pingmesh_core::netsim::{DcProfile, SimNet};
@@ -166,21 +166,26 @@ fn bench_window_aggregation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_scheduler(c: &mut Criterion) {
+fn bench_fleet_due_scan(c: &mut Criterion) {
     let topo = medium_topo();
     let generator = PinglistGenerator::new(GeneratorConfig::default());
     let pl = generator.generate_for(&topo, ServerId(0), 1);
-    c.bench_function("scheduler_tick_2k_peers", |b| {
+    c.bench_function("fleet_due_scan_2k_peers", |b| {
         b.iter_batched(
             || {
-                let mut s = ProbeScheduler::new(ServerId(0));
-                s.install(&pl, SimTime::ZERO);
-                s
+                let mut fleet = AgentFleet::new(topo.clone(), AgentConfig::default());
+                let idx = fleet.push_server(ServerId(0));
+                fleet.on_controller_poll(
+                    idx,
+                    ControllerPollOutcome::Pinglist(pl.clone()),
+                    SimTime::ZERO,
+                );
+                fleet
             },
-            |mut s| {
-                // Pop one round of due probes.
-                let t = s.next_due().unwrap();
-                s.pop_due(t)
+            |mut fleet| {
+                // Scan out the first wake's due probes.
+                let t = fleet.next_wakeup(0).unwrap();
+                fleet.due_probes(0, t)
             },
             BatchSize::SmallInput,
         )
@@ -286,7 +291,7 @@ criterion_group! {
         bench_histogram,
         bench_simnet_probe,
         bench_window_aggregation,
-        bench_scheduler,
+        bench_fleet_due_scan,
         bench_obs
 }
 criterion_main!(benches);

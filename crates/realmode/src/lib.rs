@@ -5,9 +5,10 @@
 //! (`pingmesh-controller::web`), a record **collector** standing in for
 //! Cosmos's upload front-end ([`collector`]), per-server TCP/HTTP
 //! **responders**, a **peer directory** mapping topology server ids to
-//! socket addresses ([`directory`]), and the full **agent run loop**
-//! ([`agent_loop`]) with the paper's fail-closed, bounded-resource
-//! semantics.
+//! socket addresses ([`directory`]), and the **agent run loop**
+//! ([`agent_loop`]): a tokio driver over the same `AgentFleet` state
+//! machine the simulation runs, so the paper's fail-closed,
+//! bounded-resource semantics hold on real sockets too.
 //!
 //! [`cluster::LocalCluster`] wires all of it on localhost: a miniature
 //! Pingmesh deployment exchanging real packets, used by the

@@ -143,11 +143,14 @@ impl ProbeRecord {
         self.src_dc != self.dst_dc
     }
 
+    /// Approximate serialized size of every record in bytes: 9 fixed
+    /// fields at 4-8 bytes each in the CSV-ish upload format.
+    pub const WIRE_SIZE: usize = 64;
+
     /// Approximate serialized size in bytes, used to account for upload
     /// bandwidth and the agent's bounded in-memory buffer.
     pub fn wire_size(&self) -> usize {
-        // 9 fixed fields at 4-8 bytes each in the CSV-ish upload format.
-        64
+        Self::WIRE_SIZE
     }
 }
 

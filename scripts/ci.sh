@@ -4,7 +4,9 @@
 # smoke mode (small workloads, acceptance gates only — no timings recorded):
 # it fails if a resolve call allocates, if a 10-min/hourly tick copies a
 # record out of the store, or if the merged hourly rollup is not bit-equal
-# to the golden rebuild-from-raw. Pass --chaos-smoke to also run the
+# to the golden rebuild-from-raw; it also runs `fig3`, which fails unless an
+# agent probing a 2,500-peer pinglist with 10 min of buffered results fits
+# the paper's 45 MB envelope. Pass --chaos-smoke to also run the
 # seeded end-to-end chaos drill (replica kill → collector stall → total
 # controller outage → restore) under a hard wall-clock cap. Pass
 # --fuzz-smoke to also run the deterministic correctness harness
@@ -87,6 +89,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [ "$BENCH_SMOKE" = 1 ]; then
   step "hotpath bench smoke (zero-allocation + zero-copy tick gates)"
   cargo run --release -q -p pingmesh-bench --bin hotpath -- --smoke --check
+  step "fig3 (agent CPU + <45 MB memory envelope at >2000 peers)"
+  cargo run --release -q -p pingmesh-bench --bin fig3
 fi
 
 if [ "$FUZZ_SMOKE" = 1 ]; then
