@@ -26,6 +26,9 @@
 //!   path under the collector's group-commit policy, vs the in-memory
 //!   ingest above, plus the crash-recovery replay rate (reopen the
 //!   store from manifest + segments + WAL and count records/sec).
+//! - **json**: the agent upload codec — µs and heap allocations to encode
+//!   and to decode one 2,000-record `ProbeRecord` batch, and whether the
+//!   decoded batch equals the original.
 //! - **end_to_end**: wall-clock of a full simulated deployment.
 //!
 //! Usage: `cargo run --release -p pingmesh-bench --bin hotpath [--smoke]
@@ -34,7 +37,8 @@
 //! `target/BENCH_hotpath.smoke.json` instead. `--check` exits non-zero
 //! if an acceptance gate fails (resolver not allocation-free; a 10-min
 //! tick copying records out of the store; recovery dropping or
-//! mutating a record; in full mode also resolver speedup < 3x,
+//! mutating a record; a JSON batch encode or decode taking more than 64
+//! allocations, or its round trip changing a record; in full mode also resolver speedup < 3x,
 //! deferred event-queue metric accounting < 2x cheaper than per-op
 //! atomics, pinglist speedup < 2x when ≥2 threads are available,
 //! hourly merge < 5x faster than the rebuild-from-raw path, or
@@ -77,6 +81,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Records per agent upload batch (paper §3.4: every 2,000 records).
+const JSON_BATCH: usize = 2_000;
+
+/// Allocation budget for encoding or decoding one upload batch: the
+/// output buffer's growth, not per-record work.
+const JSON_MAX_ALLOCS: u64 = 64;
 
 /// The pre-refactor resolver, verbatim: collects every ECMP candidate set
 /// into a `Vec` per call and returns the hops as a `Vec`. This is the
@@ -618,6 +629,63 @@ fn main() {
         if recovery_exact { "bit-equal" } else { "DIVERGED" }
     );
 
+    // --- json: the agent upload codec, one 2,000-record batch each way.
+    // Every `ProbeKind`, `ProbeOutcome` and `QosClass` variant appears.
+    let json_batch: Vec<ProbeRecord> = records[..JSON_BATCH]
+        .iter()
+        .enumerate()
+        .map(|(i, r)| ProbeRecord {
+            ts: SimTime(r.ts.as_micros() * 1_000_003),
+            kind: [
+                ProbeKind::TcpSyn,
+                ProbeKind::TcpPayload(1_000),
+                ProbeKind::Http,
+            ][i % 3],
+            qos: QosClass::ALL[i / 3 % 2],
+            src_port: 32_768 + (i as u16 * 7_919) % 28_000,
+            outcome: match i % 50 {
+                0 => ProbeOutcome::Timeout,
+                1 => ProbeOutcome::Refused,
+                _ => r.outcome,
+            },
+            ..*r
+        })
+        .collect();
+    let json_reps = if args.smoke { 20 } else { 200 };
+    let body = serde_json::to_vec(&json_batch).expect("encode batch");
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    black_box(serde_json::to_vec(&json_batch).expect("encode batch"));
+    let json_encode_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let decoded: Vec<ProbeRecord> = serde_json::from_slice(&body).expect("decode batch");
+    let json_decode_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let json_round_trip = decoded == json_batch;
+    let (encode_ns, _) = time_ns(|| {
+        (0..json_reps)
+            .map(|_| {
+                serde_json::to_vec(black_box(&json_batch))
+                    .expect("encode")
+                    .len() as u64
+            })
+            .sum()
+    });
+    let (decode_ns, _) = time_ns(|| {
+        (0..json_reps)
+            .map(|_| {
+                serde_json::from_slice::<Vec<ProbeRecord>>(black_box(&body))
+                    .expect("decode")
+                    .len() as u64
+            })
+            .sum()
+    });
+    let json_encode_us = encode_ns / 1e3 / json_reps as f64;
+    let json_decode_us = decode_ns / 1e3 / json_reps as f64;
+    println!(
+        "  json           encode {json_encode_us:>8.1} us/batch ({json_encode_allocs} allocs)   decode {json_decode_us:>8.1} us/batch ({json_decode_allocs} allocs)   {} B/record   round trip {}",
+        body.len() / JSON_BATCH,
+        if json_round_trip { "equal" } else { "DIVERGED" }
+    );
+
     // --- end to end: a full simulated deployment, wall-clock.
     let sim_mins = if args.smoke { 5u64 } else { 30 };
     let e2e_start = Instant::now();
@@ -713,6 +781,15 @@ fn main() {
             "    \"recovery_records_per_sec\": {drecrate:.0},\n",
             "    \"recovery_bit_equal\": {dexact}\n",
             "  }},\n",
+            "  \"json\": {{\n",
+            "    \"batch_records\": {jrecs},\n",
+            "    \"bytes_per_record\": {jbytes},\n",
+            "    \"encode_us_per_batch\": {jenc:.1},\n",
+            "    \"decode_us_per_batch\": {jdec:.1},\n",
+            "    \"encode_allocs_per_batch\": {jencallocs},\n",
+            "    \"decode_allocs_per_batch\": {jdecallocs},\n",
+            "    \"round_trip_equal\": {jrt}\n",
+            "  }},\n",
             "  \"end_to_end\": {{\n",
             "    \"sim_minutes\": {simm},\n",
             "    \"wall_ms\": {wall},\n",
@@ -759,6 +836,13 @@ fn main() {
         drecms = recovery_ms,
         drecrate = recovery_rec_per_sec,
         dexact = recovery_exact,
+        jrecs = JSON_BATCH,
+        jbytes = body.len() / JSON_BATCH,
+        jenc = json_encode_us,
+        jdec = json_decode_us,
+        jencallocs = json_encode_allocs,
+        jdecallocs = json_decode_allocs,
+        jrt = json_round_trip,
         simm = sim_mins,
         wall = e2e_wall_ms,
         e2e = e2e_records,
@@ -789,6 +873,18 @@ fn main() {
         gate(
             "recovered store bit-equal to the ingested corpus",
             recovery_exact,
+        );
+        gate(
+            "json encode of a 2,000-record batch <= 64 allocations",
+            json_encode_allocs <= JSON_MAX_ALLOCS,
+        );
+        gate(
+            "json decode of a 2,000-record batch <= 64 allocations",
+            json_decode_allocs <= JSON_MAX_ALLOCS,
+        );
+        gate(
+            "json round trip returns the batch unchanged",
+            json_round_trip,
         );
         if !args.smoke {
             // Timing gates only on the full run: smoke workloads are too

@@ -3,8 +3,10 @@
 # first failing step. Pass --bench-smoke to also run the hot-path bench in
 # smoke mode (small workloads, acceptance gates only — no timings recorded):
 # it fails if a resolve call allocates, if a 10-min/hourly tick copies a
-# record out of the store, or if the merged hourly rollup is not bit-equal
-# to the golden rebuild-from-raw; it also runs `fig3`, which fails unless an
+# record out of the store, if the merged hourly rollup is not bit-equal
+# to the golden rebuild-from-raw, or if JSON-encoding or -decoding one
+# 2,000-record upload batch takes more than 64 heap allocations or its
+# round trip changes a record; it also runs `fig3`, which fails unless an
 # agent probing a 2,500-peer pinglist with 10 min of buffered results fits
 # the paper's 45 MB envelope. Pass --chaos-smoke to also run the
 # seeded end-to-end chaos drill (replica kill → collector stall → total
@@ -87,7 +89,7 @@ step "cargo clippy -D warnings (workspace, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [ "$BENCH_SMOKE" = 1 ]; then
-  step "hotpath bench smoke (zero-allocation + zero-copy tick gates)"
+  step "hotpath bench smoke (zero-allocation, zero-copy tick, JSON codec gates)"
   cargo run --release -q -p pingmesh-bench --bin hotpath -- --smoke --check
   step "fig3 (agent CPU + <45 MB memory envelope at >2000 peers)"
   cargo run --release -q -p pingmesh-bench --bin fig3

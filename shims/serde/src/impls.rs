@@ -1,20 +1,69 @@
 //! `Serialize`/`Deserialize` impls for primitives and std containers.
 
 use crate::value::{Number, Object, Value};
-use crate::{DeError, Deserialize, Serialize};
+use crate::{DeError, Deserialize, Reader, Serialize, Writer};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+
+/// Reads a number, or reports a type mismatch when the next token is not
+/// one.
+#[inline]
+fn number(r: &mut Reader<'_>, what: &str, ty: &str) -> Result<Number, DeError> {
+    match r.peek() {
+        Some(b'-' | b'0'..=b'9') => r.number(),
+        _ => Err(DeError::expected(what, ty)),
+    }
+}
+
+/// Reads a string, or reports a type mismatch when the next token is not
+/// one.
+fn string<'a>(r: &mut Reader<'a>, ty: &str) -> Result<Cow<'a, str>, DeError> {
+    if r.peek() != Some(b'"') {
+        return Err(DeError::expected("string", ty));
+    }
+    r.str()
+}
+
+fn serialize_seq<'t, T: Serialize + 't>(
+    items: impl ExactSizeIterator<Item = &'t T>,
+    w: &mut Writer,
+) {
+    let empty = items.len() == 0;
+    w.begin_array();
+    for (i, item) in items.enumerate() {
+        w.element(i == 0);
+        item.serialize(w);
+    }
+    w.end_array(empty);
+}
+
+fn serialize_map<'t, V: Serialize + 't>(
+    entries: impl ExactSizeIterator<Item = (&'t String, &'t V)>,
+    w: &mut Writer,
+) {
+    let empty = entries.len() == 0;
+    w.begin_object();
+    for (i, (k, v)) in entries.enumerate() {
+        w.key(i == 0, k);
+        v.serialize(w);
+    }
+    w.end_object(empty);
+}
 
 macro_rules! ser_de_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::U64(*self as u64))
+            #[inline]
+            fn serialize(&self, w: &mut Writer) {
+                w.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = number(r, "unsigned integer", stringify!($t))?;
+                let n = n
                     .as_u64()
                     .ok_or_else(|| DeError::expected("unsigned integer", stringify!($t)))?;
                 <$t>::try_from(n)
@@ -29,18 +78,16 @@ ser_de_uint!(u8, u16, u32, u64, usize);
 macro_rules! ser_de_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 {
-                    Value::Number(Number::U64(n as u64))
-                } else {
-                    Value::Number(Number::I64(n))
-                }
+            #[inline]
+            fn serialize(&self, w: &mut Writer) {
+                w.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = v
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = number(r, "integer", stringify!($t))?;
+                let n = n
                     .as_i64()
                     .ok_or_else(|| DeError::expected("integer", stringify!($t)))?;
                 <$t>::try_from(n)
@@ -53,40 +100,49 @@ macro_rules! ser_de_int {
 ser_de_int!(i8, i16, i32, i64, isize);
 
 impl<T: Serialize> Serialize for std::ops::Range<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         // Matches serde's representation: a struct with start/end.
-        let mut obj = Object::new();
-        obj.insert("start", self.start.to_value());
-        obj.insert("end", self.end.to_value());
-        Value::Object(obj)
+        w.begin_object();
+        w.key(true, "start");
+        self.start.serialize(w);
+        w.key(false, "end");
+        self.end.serialize(w);
+        w.end_object(false);
     }
 }
 
 impl<T: Deserialize> Deserialize for std::ops::Range<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "Range"))?;
-        Ok(T::from_field(obj.get("start"), "start")?..T::from_field(obj.get("end"), "end")?)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut start, mut end) = (None, None);
+        r.begin_object("Range")?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "start" => crate::__private::field(&mut start, r)?,
+                "end" => crate::__private::field(&mut end, r)?,
+                _ => r.skip_value()?,
+            }
+        }
+        Ok(crate::__private::take(start, "start")?..crate::__private::take(end, "end")?)
     }
 }
 
 impl Serialize for u128 {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         // JSON numbers top out at u64 here; wider values degrade to f64.
         match u64::try_from(*self) {
-            Ok(n) => Value::Number(Number::U64(n)),
-            Err(_) => Value::Number(Number::F64(*self as f64)),
+            Ok(n) => w.u64(n),
+            Err(_) => w.f64(*self as f64),
         }
     }
 }
 
 impl Deserialize for u128 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if let Some(n) = v.as_u64() {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let n = number(r, "unsigned integer", "u128")?;
+        if let Some(n) = n.as_u64() {
             return Ok(n as u128);
         }
-        match v.as_f64() {
+        match n.as_f64() {
             Some(f) if f >= 0.0 && f.is_finite() => Ok(f as u128),
             _ => Err(DeError::expected("unsigned integer", "u128")),
         }
@@ -94,199 +150,223 @@ impl Deserialize for u128 {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        if self.is_finite() {
-            Value::Number(Number::F64(*self))
-        } else {
-            // serde_json maps non-finite floats to null.
-            Value::Null
-        }
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::expected("number", "f64"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        number(r, "number", "f64")?
+            .as_f64()
+            .ok_or_else(|| DeError::expected("number", "f64"))
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(*self as f64);
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(f64::from_value(v)? as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(f64::deserialize(r)? as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_bool().ok_or_else(|| DeError::expected("bool", "bool"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.bool()
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| DeError::expected("string", "String"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        string(r, "String").map(Cow::into_owned)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        serialize_seq(self.iter(), w);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer) {
+        serialize_seq(self.iter(), w);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::expected("array", "Vec"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_array("Vec")?;
+        let mut out = Vec::new();
+        while r.next_element()? {
+            out.push(T::deserialize(r)?);
+        }
+        Ok(out)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 
-    fn from_field(v: Option<&Value>, _name: &str) -> Result<Self, DeError> {
-        match v {
-            None | Some(Value::Null) => Ok(None),
-            Some(other) => Ok(Some(T::from_value(other)?)),
-        }
+    fn missing_field(_name: &str) -> Result<Self, DeError> {
+        Ok(None)
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_array();
+        w.element(true);
+        self.0.serialize(w);
+        w.element(false);
+        self.1.serialize(w);
+        w.end_array(false);
     }
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let a = v
-            .as_array()
-            .ok_or_else(|| DeError::expected("array", "tuple"))?;
-        if a.len() != 2 {
-            return Err(DeError::expected("2-element array", "tuple"));
-        }
-        Ok((A::from_value(&a[0])?, B::from_value(&a[1])?))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        use crate::__private::{element, end_tuple};
+        r.begin_array("tuple")?;
+        element(r, 2, "tuple")?;
+        let a = A::deserialize(r)?;
+        element(r, 2, "tuple")?;
+        let b = B::deserialize(r)?;
+        end_tuple(r, 2, "tuple")?;
+        Ok((a, b))
     }
 }
 
 impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         // Sort for deterministic output (HashMap iteration order is not).
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        let mut obj = Object::new();
-        for k in keys {
-            obj.insert(k.clone(), self[k].to_value());
-        }
-        Value::Object(obj)
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        serialize_map(entries.into_iter(), w);
     }
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "HashMap"))?;
-        obj.iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_object("HashMap")?;
+        let mut out = HashMap::new();
+        while let Some(key) = r.next_key()? {
+            out.insert(key.into_owned(), V::deserialize(r)?);
+        }
+        Ok(out)
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut obj = Object::new();
-        for (k, v) in self {
-            obj.insert(k.clone(), v.to_value());
-        }
-        Value::Object(obj)
+    fn serialize(&self, w: &mut Writer) {
+        serialize_map(self.iter(), w);
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", "BTreeMap"))?;
-        obj.iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_object("BTreeMap")?;
+        let mut out = BTreeMap::new();
+        while let Some(key) = r.next_key()? {
+            out.insert(key.into_owned(), V::deserialize(r)?);
+        }
+        Ok(out)
     }
 }
 
 impl Serialize for Ipv4Addr {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(&self.to_string());
     }
 }
 
 impl Deserialize for Ipv4Addr {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .ok_or_else(|| DeError::expected("string", "Ipv4Addr"))?
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        string(r, "Ipv4Addr")?
             .parse()
             .map_err(|e| DeError::custom(format!("bad ipv4 address: {e}")))
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(Number::U64(n)) => w.u64(*n),
+            Value::Number(Number::I64(n)) => w.i64(*n),
+            Value::Number(Number::F64(n)) => w.f64(*n),
+            Value::String(s) => w.str(s),
+            Value::Array(items) => serialize_seq(items.iter(), w),
+            Value::Object(obj) => {
+                w.begin_object();
+                for (i, (k, v)) in obj.iter().enumerate() {
+                    w.key(i == 0, k);
+                    v.serialize(w);
+                }
+                w.end_object(obj.is_empty());
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(match r.peek() {
+            Some(b'n') => {
+                r.null()?;
+                Value::Null
+            }
+            Some(b't' | b'f') => Value::Bool(r.bool()?),
+            Some(b'"') => Value::String(r.str()?.into_owned()),
+            Some(b'[') => Value::Array(Vec::deserialize(r)?),
+            Some(b'{') => {
+                r.begin_object("Value")?;
+                let mut obj = Object::new();
+                while let Some(key) = r.next_key()? {
+                    obj.insert(key.into_owned(), Value::deserialize(r)?);
+                }
+                Value::Object(obj)
+            }
+            _ => Value::Number(r.number()?),
+        })
     }
 }

@@ -1,4 +1,9 @@
-//! The JSON value tree shared by the `serde` and `serde_json` shims.
+//! The JSON value tree: a lenient, indexable parse target.
+//!
+//! Typed data never passes through it — derived types read and write
+//! JSON directly through [`crate::Writer`] and [`crate::Reader`]. It exists
+//! for callers that want to poke at a document without declaring its
+//! shape.
 
 use std::ops::Index;
 
@@ -19,9 +24,8 @@ impl Number {
         match *self {
             Number::U64(n) => Some(n),
             Number::I64(n) => u64::try_from(n).ok(),
-            Number::F64(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
-                Some(f as u64)
-            }
+            // `u64::MAX as f64` is 2^64 itself, one past the range.
+            Number::F64(f) if f >= 0.0 && f.fract() == 0.0 && f < u64::MAX as f64 => Some(f as u64),
             Number::F64(_) => None,
         }
     }
@@ -31,7 +35,10 @@ impl Number {
         match *self {
             Number::U64(n) => i64::try_from(n).ok(),
             Number::I64(n) => Some(n),
-            Number::F64(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
+            // `i64::MAX as f64` is 2^63 itself, one past the range; -2^63
+            // is excluded too, as an overflowing integer literal such as
+            // -9223372036854775809 rounds to it.
+            Number::F64(f) if f.fract() == 0.0 && f > i64::MIN as f64 && f < i64::MAX as f64 => {
                 Some(f as i64)
             }
             Number::F64(_) => None,

@@ -3,7 +3,10 @@
 //! Parses the item definition directly from the [`proc_macro::TokenStream`]
 //! (the build is fully offline, so `syn`/`quote` are unavailable) and
 //! generates impls of the shim `serde::Serialize` / `serde::Deserialize`
-//! traits. Supported shapes — exactly what this workspace contains:
+//! traits: straight-line calls that write JSON into a `serde::Writer`, and
+//! a key-matching loop that reads from a `serde::Reader` into one
+//! `Option` slot per field. Supported shapes — exactly what this
+//! workspace contains:
 //!
 //! * structs with named fields (`#[serde(skip)]` honoured);
 //! * tuple structs (single-field newtypes are transparent, as in serde);
@@ -236,8 +239,43 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 
 // ---------------------------------------------------------------- Serialize
 
+/// A Rust string literal holding a field's JSON key and colon, `"name":`.
+/// Field names are identifiers, so they need no JSON escaping.
+fn json_key(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\":"))
+}
+
+/// Statements writing `{"k": v, ...}` for the live fields; `access` maps a
+/// field name to an expression of reference type.
+fn ser_fields(live: &[&Field], access: impl Fn(&str) -> String) -> String {
+    let mut s = String::from("__w.begin_object();\n");
+    for (i, f) in live.iter().enumerate() {
+        s.push_str(&format!(
+            "__w.field({first}, {key});\n::serde::Serialize::serialize({v}, __w);\n",
+            first = i == 0,
+            key = json_key(&f.name),
+            v = access(&f.name),
+        ));
+    }
+    s.push_str(&format!("__w.end_object({});\n", live.is_empty()));
+    s
+}
+
+/// Statements writing `[a, b, ...]`.
+fn ser_elements(items: &[String]) -> String {
+    let mut s = String::from("__w.begin_array();\n");
+    for (i, item) in items.iter().enumerate() {
+        s.push_str(&format!(
+            "__w.element({first});\n::serde::Serialize::serialize({item}, __w);\n",
+            first = i == 0
+        ));
+    }
+    s.push_str(&format!("__w.end_array({});\n", items.is_empty()));
+    s
+}
+
 fn gen_serialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct {
             name,
             transparent,
@@ -247,85 +285,92 @@ fn gen_serialize(item: &Item) -> String {
                 Shape::Named(fields) => {
                     let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
                     if *transparent && live.len() == 1 {
-                        format!("::serde::Serialize::to_value(&self.{})", live[0].name)
+                        format!(
+                            "::serde::Serialize::serialize(&self.{}, __w);",
+                            live[0].name
+                        )
                     } else {
-                        let mut s = String::from("let mut obj = ::serde::Object::new();\n");
-                        for f in &live {
-                            s.push_str(&format!(
-                                "obj.insert({n:?}, ::serde::Serialize::to_value(&self.{n}));\n",
-                                n = f.name
-                            ));
-                        }
-                        s.push_str("::serde::Value::Object(obj)");
-                        s
+                        ser_fields(&live, |n| format!("&self.{n}"))
                     }
                 }
-                Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".into(),
+                Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0, __w);".into(),
                 Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                    let items: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+                    ser_elements(&items)
                 }
-                Shape::Unit => "::serde::Value::Null".into(),
+                Shape::Unit => "__w.null();".into(),
             };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n fn to_value(&self) -> ::serde::Value {{\n {body}\n }}\n}}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.shape {
-                    Shape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String({vn:?}.to_string()),\n"
-                    )),
-                    Shape::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vn}(__f0) => {{\n let mut obj = ::serde::Object::new();\n obj.insert({vn:?}, ::serde::Serialize::to_value(__f0));\n ::serde::Value::Object(obj)\n }}\n"
-                    )),
+                let (pattern, inner) = match &v.shape {
+                    Shape::Unit => {
+                        arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
+                        continue;
+                    }
+                    Shape::Tuple(1) => (
+                        format!("{name}::{vn}(__f0)"),
+                        "::serde::Serialize::serialize(__f0, __w);\n".to_string(),
+                    ),
                     Shape::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({bl}) => {{\n let mut obj = ::serde::Object::new();\n obj.insert({vn:?}, ::serde::Value::Array(vec![{il}]));\n ::serde::Value::Object(obj)\n }}\n",
-                            bl = binds.join(", "),
-                            il = items.join(", ")
-                        ));
+                        (
+                            format!("{name}::{vn}({})", binds.join(", ")),
+                            ser_elements(&binds),
+                        )
                     }
                     Shape::Named(fields) => {
                         let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-                        let binds: Vec<String> = live.iter().map(|f| f.name.clone()).collect();
-                        let mut inner = String::from(
-                            "let mut inner = ::serde::Object::new();\n",
-                        );
-                        for f in &live {
-                            inner.push_str(&format!(
-                                "inner.insert({n:?}, ::serde::Serialize::to_value({n}));\n",
-                                n = f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {bl} }} => {{\n {inner} let mut obj = ::serde::Object::new();\n obj.insert({vn:?}, ::serde::Value::Object(inner));\n ::serde::Value::Object(obj)\n }}\n",
-                            bl = binds.join(", ")
-                        ));
+                        let mut binds: Vec<&str> = live.iter().map(|f| f.name.as_str()).collect();
+                        binds.push("..");
+                        (
+                            format!("{name}::{vn} {{ {} }}", binds.join(", ")),
+                            ser_fields(&live, str::to_string),
+                        )
                     }
-                }
+                };
+                arms.push_str(&format!(
+                    "{pattern} => {{\n__w.begin_object();\n__w.key(true, {vn:?});\n{inner}__w.end_object(false);\n}}\n"
+                ));
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n fn to_value(&self) -> ::serde::Value {{\n match self {{\n {arms} }}\n }}\n}}"
-            )
+            (name, format!("match self {{\n{arms}}}"))
         }
-    }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\nfn serialize(&self, __w: &mut ::serde::Writer) {{\n{body}\n}}\n}}"
+    )
 }
 
 // -------------------------------------------------------------- Deserialize
 
-fn gen_named_ctor(fields: &[Field], obj_expr: &str) -> String {
-    let mut s = String::new();
+/// A block expression reading an object into `ctor { fields }`. Keys are
+/// matched by `Reader::next_field` (in-order input costs one byte
+/// comparison per key), unknown keys are skipped, a repeated key
+/// overwrites, and an absent key defers to `Deserialize::missing_field`.
+fn de_fields(fields: &[Field], ctor: &str, what: &str) -> String {
+    let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let names: Vec<String> = live.iter().map(|f| json_key(&f.name)).collect();
+    let mut s = String::from("{\n");
+    for f in &live {
+        s.push_str(&format!(
+            "let mut __v_{} = ::core::option::Option::None;\n",
+            f.name
+        ));
+    }
+    s.push_str(&format!(
+        "let mut __next = 0;\n__r.begin_object({what:?})?;\nwhile let ::core::option::Option::Some(__i) = __r.next_field(&[{}], &mut __next)? {{\nmatch __i {{\n",
+        names.join(", ")
+    ));
+    for (i, f) in live.iter().enumerate() {
+        s.push_str(&format!(
+            "{i} => ::serde::__private::field(&mut __v_{n}, __r)?,\n",
+            n = f.name
+        ));
+    }
+    s.push_str(&format!("_ => __r.skip_value()?,\n}}\n}}\n{ctor} {{\n"));
     for f in fields {
         if f.skip {
             s.push_str(&format!(
@@ -334,16 +379,33 @@ fn gen_named_ctor(fields: &[Field], obj_expr: &str) -> String {
             ));
         } else {
             s.push_str(&format!(
-                "{n}: ::serde::Deserialize::from_field({obj_expr}.get({n:?}), {n:?})?,\n",
+                "{n}: ::serde::__private::take(__v_{n}, {n:?})?,\n",
                 n = f.name
             ));
         }
     }
+    s.push_str("}\n}");
     s
 }
 
+/// A block expression reading an exactly-`n`-element array into
+/// `ctor(..)`.
+fn de_elements(n: usize, ctor: &str, what: &str) -> String {
+    let items: Vec<String> = (0..n)
+        .map(|_| {
+            format!(
+                "{{ ::serde::__private::element(__r, {n}, {what:?})?; ::serde::Deserialize::deserialize(__r)? }}"
+            )
+        })
+        .collect();
+    format!(
+        "{{\n__r.begin_array({what:?})?;\nlet __v = {ctor}({});\n::serde::__private::end_tuple(__r, {n}, {what:?})?;\n__v\n}}",
+        items.join(", ")
+    )
+}
+
 fn gen_deserialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct {
             name,
             transparent,
@@ -353,72 +415,81 @@ fn gen_deserialize(item: &Item) -> String {
                 Shape::Named(fields) => {
                     let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
                     if *transparent && live.len() == 1 {
-                        let skipped: String = fields
-                            .iter()
-                            .filter(|f| f.skip)
-                            .map(|f| format!("{}: ::core::default::Default::default(),\n", f.name))
-                            .collect();
-                        format!(
-                            "::core::result::Result::Ok({name} {{ {n}: ::serde::Deserialize::from_value(v)?,\n {skipped} }})",
-                            n = live[0].name
-                        )
+                        let mut inits = String::new();
+                        for f in fields {
+                            let init = if f.skip {
+                                "::core::default::Default::default()"
+                            } else {
+                                "::serde::Deserialize::deserialize(__r)?"
+                            };
+                            inits.push_str(&format!("{}: {init},\n", f.name));
+                        }
+                        format!("::core::result::Result::Ok({name} {{\n{inits}}})")
                     } else {
                         format!(
-                            "let obj = v.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", {name:?}))?;\n ::core::result::Result::Ok({name} {{\n {ctor} }})",
-                            ctor = gen_named_ctor(fields, "obj")
+                            "::core::result::Result::Ok({})",
+                            de_fields(fields, name, name)
                         )
                     }
                 }
                 Shape::Tuple(1) => format!(
-                    "::core::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
+                    "::core::result::Result::Ok({name}(::serde::Deserialize::deserialize(__r)?))"
                 ),
-                Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Deserialize::from_value(&arr[{k}])?"))
-                        .collect();
-                    format!(
-                        "let arr = v.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", {name:?}))?;\n if arr.len() != {n} {{ return ::core::result::Result::Err(::serde::DeError::expected(\"{n}-element array\", {name:?})); }}\n ::core::result::Result::Ok({name}({il}))",
-                        il = items.join(", ")
-                    )
-                }
-                Shape::Unit => format!("::core::result::Result::Ok({name})"),
+                Shape::Tuple(n) => format!(
+                    "::core::result::Result::Ok({})",
+                    de_elements(*n, name, name)
+                ),
+                Shape::Unit => format!("__r.skip_value()?;\n::core::result::Result::Ok({name})"),
             };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n {body}\n }}\n}}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
             let mut unit_arms = String::new();
             let mut data_arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let ctor = format!("{name}::{vn}");
                 match &v.shape {
-                    Shape::Unit => unit_arms.push_str(&format!(
-                        "{vn:?} => ::core::result::Result::Ok({name}::{vn}),\n"
-                    )),
+                    Shape::Unit => unit_arms
+                        .push_str(&format!("{vn:?} => ::core::result::Result::Ok({ctor}),\n")),
                     Shape::Tuple(1) => data_arms.push_str(&format!(
-                        "{vn:?} => ::core::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(val)?)),\n"
+                        "{vn:?} => {ctor}(::serde::Deserialize::deserialize(__r)?),\n"
                     )),
                     Shape::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::from_value(&arr[{k}])?"))
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "{vn:?} => {{\n let arr = val.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", {vn:?}))?;\n if arr.len() != {n} {{ return ::core::result::Result::Err(::serde::DeError::expected(\"{n}-element array\", {vn:?})); }}\n ::core::result::Result::Ok({name}::{vn}({il}))\n }}\n",
-                            il = items.join(", ")
-                        ));
+                        data_arms.push_str(&format!("{vn:?} => {},\n", de_elements(*n, &ctor, vn)))
                     }
-                    Shape::Named(fields) => data_arms.push_str(&format!(
-                        "{vn:?} => {{\n let inner = val.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", {vn:?}))?;\n ::core::result::Result::Ok({name}::{vn} {{\n {ctor} }})\n }}\n",
-                        ctor = gen_named_ctor(fields, "inner")
-                    )),
+                    Shape::Named(fields) => data_arms
+                        .push_str(&format!("{vn:?} => {},\n", de_fields(fields, &ctor, vn))),
                 }
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n match v {{\n ::serde::Value::String(s) => match s.as_str() {{\n {unit_arms} other => ::core::result::Result::Err(::serde::DeError::custom(format!(\"unknown variant `{{other}}` of {name}\"))),\n }},\n ::serde::Value::Object(o) if o.len() == 1 => {{\n let (k, val) = o.iter().next().unwrap();\n match k.as_str() {{\n {data_arms} other => ::core::result::Result::Err(::serde::DeError::custom(format!(\"unknown variant `{{other}}` of {name}\"))),\n }}\n }}\n _ => ::core::result::Result::Err(::serde::DeError::expected(\"variant string or single-key object\", {name:?})),\n }}\n }}\n}}"
+            let unknown = format!("::serde::DeError::unknown_variant(__other, {name:?})");
+            let shape_err = format!(
+                "::serde::DeError::expected(\"variant string or single-key object\", {name:?})"
+            );
+            // A unit variant is a string; a data variant is an object with
+            // exactly one key. Arms that cannot match are left out rather
+            // than generated unreachable.
+            let string_arm = format!(
+                "::core::option::Option::Some(b'\"') => {{\nlet __s = __r.str()?;\nmatch &*__s {{\n{unit_arms}__other => ::core::result::Result::Err({unknown}),\n}}\n}}\n"
+            );
+            let object_arm = if data_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "::core::option::Option::Some(b'{{') => {{\n__r.begin_object({name:?})?;\nlet ::core::option::Option::Some(__k) = __r.next_key()? else {{\nreturn ::core::result::Result::Err({shape_err});\n}};\nlet __v = match &*__k {{\n{data_arms}__other => return ::core::result::Result::Err({unknown}),\n}};\nif __r.next_key()?.is_some() {{\nreturn ::core::result::Result::Err({shape_err});\n}}\n::core::result::Result::Ok(__v)\n}}\n"
+                )
+            };
+            (
+                name,
+                format!(
+                    "match __r.peek() {{\n{string_arm}{object_arm}_ => ::core::result::Result::Err({shape_err}),\n}}"
+                ),
             )
         }
-    }
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\nfn deserialize(__r: &mut ::serde::Reader<'_>) -> ::core::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n}}"
+    )
 }
 
 /// Derives the shim `serde::Serialize`.
