@@ -2,26 +2,26 @@
 //! aggregation, and an end-to-end orchestrator run, recorded as JSON.
 //!
 //! The probe hot path was rebuilt around precomputed route tables, an
-//! inline hop array, and scoped-thread parallelism. This binary pins the
+//! inline hop array, and ingest-time aggregation. This binary pins the
 //! claims down as numbers:
 //!
 //! - **resolver**: ns/call of the zero-allocation resolver against the
-//!   pre-refactor collect-into-`Vec` resolver (reimplemented below,
-//!   verbatim), plus a counting-allocator proof that a resolve call
-//!   performs **zero** heap allocations.
+//!   pre-refactor collect-into-`Vec` resolver
+//!   (`pingmesh_check::golden::legacy_resolve`), plus a counting-allocator
+//!   proof that a resolve call performs **zero** heap allocations.
 //! - **event_queue**: the engine's schedule/pop cost with metric deltas
 //!   flushed once per barrier vs published after every operation (the
 //!   pre-sharding behaviour), the accounting cost in isolation (atomic
 //!   inc + gauge store per op vs a deferred plain increment), and
 //!   `schedule_batch` vs repeated singles.
-//! - **pinglist**: `generate_all` servers/sec, serial vs parallel.
-//! - **aggregate**: `WindowAggregate` records/sec, serial vs parallel
-//!   (and a bit-equality check between the two results).
+//! - **pinglist**: `generate_all` servers/sec.
+//! - **aggregate**: `WindowAggregate::build` records/sec.
 //! - **tick**: the streaming DSA path — ingest records/sec (appends fold
 //!   into 10-min window partials as they land), 10-min tick ms with a
 //!   record-copy counter proving the tick reads a finished partial
 //!   without copying the window, hourly tick ms, and the merge-based
-//!   hourly rollup vs the golden rebuild-from-raw (asserted bit-equal).
+//!   hourly rollup vs the golden rebuild-from-raw
+//!   (`pingmesh_check::golden::rebuild_window`, asserted bit-equal).
 //! - **durable**: the same corpus appended through the WAL + segment
 //!   path under the collector's group-commit policy, vs the in-memory
 //!   ingest above, plus the crash-recovery replay rate (reopen the
@@ -40,11 +40,11 @@
 //! mutating a record; a JSON batch encode or decode taking more than 64
 //! allocations, or its round trip changing a record; in full mode also resolver speedup < 3x,
 //! deferred event-queue metric accounting < 2x cheaper than per-op
-//! atomics, pinglist speedup < 2x when ≥2 threads are available,
-//! hourly merge < 5x faster than the rebuild-from-raw path, or
+//! atomics, hourly merge < 5x faster than the rebuild-from-raw path, or
 //! durable ingest below half the in-memory rate).
 
-use pingmesh_bench::{header, small_dc_spec, two_dc_scenario};
+use pingmesh_bench::{available_threads, header, small_dc_spec, two_dc_scenario};
+use pingmesh_check::golden;
 use pingmesh_core::controller::{GeneratorConfig, PinglistGenerator};
 use pingmesh_core::dsa::agg::WindowAggregate;
 use pingmesh_core::dsa::jobs::{JobKind, JobTick, Pipeline};
@@ -52,8 +52,8 @@ use pingmesh_core::dsa::store::{CosmosStore, StreamName};
 use pingmesh_core::dsa::{unique_dir, DirGuard};
 use pingmesh_core::topology::{DcSpec, Router, ServiceMap, Topology, TopologySpec};
 use pingmesh_core::types::{
-    DcId, DeviceId, FiveTuple, ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId,
-    SimDuration, SimTime, SwitchId,
+    DcId, FiveTuple, ProbeKind, ProbeOutcome, ProbeRecord, QosClass, ServerId, SimDuration,
+    SimTime, SwitchId,
 };
 use pingmesh_core::{Orchestrator, OrchestratorConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,100 +88,6 @@ const JSON_BATCH: usize = 2_000;
 /// Allocation budget for encoding or decoding one upload batch: the
 /// output buffer's growth, not per-record work.
 const JSON_MAX_ALLOCS: u64 = 64;
-
-/// The pre-refactor resolver, verbatim: collects every ECMP candidate set
-/// into a `Vec` per call and returns the hops as a `Vec`. This is the
-/// baseline the route-table resolver is measured against. (The same code
-/// doubles as the golden reference in `pingmesh-topology`'s tests; here
-/// it is the *timing* baseline.)
-mod legacy {
-    use super::*;
-
-    fn mix(h: u64, salt: u64) -> u64 {
-        let mut z = h ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    const UP_LEAF: u64 = 0x01;
-    const UP_SPINE: u64 = 0x02;
-    const UP_BORDER: u64 = 0x03;
-    const DOWN_BORDER: u64 = 0x04;
-    const DOWN_SPINE: u64 = 0x05;
-    const DOWN_LEAF: u64 = 0x06;
-
-    fn pick<T: Copy>(items: &[T], hash: u64, s: u64) -> T {
-        items[(mix(hash, s) % items.len() as u64) as usize]
-    }
-
-    fn pick_sw(
-        items: &[SwitchId],
-        hash: u64,
-        s: u64,
-        excluded: &dyn Fn(SwitchId) -> bool,
-    ) -> SwitchId {
-        let avail: Vec<SwitchId> = items.iter().copied().filter(|&x| !excluded(x)).collect();
-        if avail.is_empty() {
-            pick(items, hash, s)
-        } else {
-            pick(&avail, hash, s)
-        }
-    }
-
-    pub fn resolve(t: &Topology, src: ServerId, dst: ServerId, tuple: &FiveTuple) -> Vec<DeviceId> {
-        // The fault-free path the simulator takes on every probe: the
-        // exclusion closure is a no-op, but (as before the refactor) it is
-        // dyn-dispatched and the candidate set is still filter-collected.
-        let excluded: &dyn Fn(SwitchId) -> bool = &|_| false;
-        let s = *t.server(src);
-        let d = *t.server(dst);
-        let h = tuple.ecmp_hash();
-        let mut hops: Vec<DeviceId> = Vec::with_capacity(10);
-        hops.push(src.into());
-        if src == dst {
-            return hops;
-        }
-        hops.push(t.tor_of_pod(s.pod).into());
-        if s.pod == d.pod {
-            hops.push(dst.into());
-            return hops;
-        }
-        if s.podset == d.podset {
-            let leaves: Vec<SwitchId> = t.leaves_of_podset(s.podset).collect();
-            hops.push(pick_sw(&leaves, h, UP_LEAF, excluded).into());
-            hops.push(t.tor_of_pod(d.pod).into());
-            hops.push(dst.into());
-            return hops;
-        }
-        if s.dc == d.dc {
-            let up_leaves: Vec<SwitchId> = t.leaves_of_podset(s.podset).collect();
-            hops.push(pick_sw(&up_leaves, h, UP_LEAF, excluded).into());
-            let spines: Vec<SwitchId> = t.spines_of_dc(s.dc).collect();
-            hops.push(pick_sw(&spines, h, UP_SPINE, excluded).into());
-            let down_leaves: Vec<SwitchId> = t.leaves_of_podset(d.podset).collect();
-            hops.push(pick_sw(&down_leaves, h, DOWN_LEAF, excluded).into());
-            hops.push(t.tor_of_pod(d.pod).into());
-            hops.push(dst.into());
-            return hops;
-        }
-        let up_leaves: Vec<SwitchId> = t.leaves_of_podset(s.podset).collect();
-        hops.push(pick_sw(&up_leaves, h, UP_LEAF, excluded).into());
-        let up_spines: Vec<SwitchId> = t.spines_of_dc(s.dc).collect();
-        hops.push(pick_sw(&up_spines, h, UP_SPINE, excluded).into());
-        let up_borders: Vec<SwitchId> = t.borders_of_dc(s.dc).collect();
-        hops.push(pick_sw(&up_borders, h, UP_BORDER, excluded).into());
-        let down_borders: Vec<SwitchId> = t.borders_of_dc(d.dc).collect();
-        hops.push(pick_sw(&down_borders, h, DOWN_BORDER, excluded).into());
-        let down_spines: Vec<SwitchId> = t.spines_of_dc(d.dc).collect();
-        hops.push(pick_sw(&down_spines, h, DOWN_SPINE, excluded).into());
-        let down_leaves: Vec<SwitchId> = t.leaves_of_podset(d.podset).collect();
-        hops.push(pick_sw(&down_leaves, h, DOWN_LEAF, excluded).into());
-        hops.push(t.tor_of_pod(d.pod).into());
-        hops.push(dst.into());
-        hops
-    }
-}
 
 struct Args {
     smoke: bool,
@@ -241,7 +147,7 @@ fn time_ns<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
 
 fn main() {
     let args = parse_args();
-    let threads = pingmesh_par::max_threads();
+    let threads = available_threads();
     header(
         "hotpath",
         if args.smoke {
@@ -265,9 +171,13 @@ fn main() {
     let cases = resolver_cases(&topo, case_count);
     let calls = (case_count * reps) as u64;
 
+    // The fault-free path the simulator takes on every probe: before the
+    // refactor the no-op exclusion was still dyn-dispatched and every
+    // candidate set was still filter-collected.
+    let no_exclusions: &dyn Fn(SwitchId) -> bool = &|_| false;
     // Warm both paths once so first-touch effects don't skew either side.
     for (a, b, tu) in &cases {
-        black_box(legacy::resolve(&topo, *a, *b, tu).len());
+        black_box(golden::legacy_resolve(&topo, *a, *b, tu, no_exclusions).len());
         black_box(router.resolve(*a, *b, tu).link_count());
     }
 
@@ -275,7 +185,7 @@ fn main() {
         let mut sink = 0u64;
         for _ in 0..reps {
             for (a, b, tu) in &cases {
-                sink += legacy::resolve(&topo, *a, *b, tu).len() as u64;
+                sink += golden::legacy_resolve(&topo, *a, *b, tu, no_exclusions).len() as u64;
             }
         }
         sink
@@ -396,22 +306,16 @@ fn main() {
         "  eq_accounting  atomic {acct_atomic_ns_per_op:>6.2} ns/op   deferred {acct_plain_ns_per_op:>6.2} ns/op   speedup {acct_speedup:.1}x"
     );
 
-    // --- pinglist generation: serial vs parallel over the same topology.
+    // --- pinglist generation over the same topology.
     let generator = PinglistGenerator::new(GeneratorConfig::default());
     let servers = topo.server_count() as u64;
     let gen_reps = if args.smoke { 1 } else { 3 };
-    // Warm both code paths (and the page cache) before timing either.
-    black_box(generator.generate_all_threads(&topo, 0, 1).lists.len());
-    black_box(
-        generator
-            .generate_all_threads(&topo, 0, threads)
-            .lists
-            .len(),
-    );
-    let (serial_gen_ns, serial_entries) = time_ns(|| {
+    // Warm the code path (and the page cache) before timing it.
+    black_box(generator.generate_all(&topo, 0).lists.len());
+    let (gen_ns, _) = time_ns(|| {
         let mut sink = 0u64;
         for g in 0..gen_reps {
-            let set = generator.generate_all_threads(&topo, g, 1);
+            let set = generator.generate_all(&topo, g);
             sink += set
                 .lists
                 .iter()
@@ -420,27 +324,10 @@ fn main() {
         }
         sink
     });
-    let (par_gen_ns, par_entries) = time_ns(|| {
-        let mut sink = 0u64;
-        for g in 0..gen_reps {
-            let set = generator.generate_all_threads(&topo, g, threads);
-            sink += set
-                .lists
-                .iter()
-                .map(|l| l.entries.len() as u64)
-                .sum::<u64>();
-        }
-        sink
-    });
-    assert_eq!(serial_entries, par_entries, "pinglist entries diverged");
-    let serial_srv_per_sec = (servers * gen_reps) as f64 / (serial_gen_ns / 1e9);
-    let par_srv_per_sec = (servers * gen_reps) as f64 / (par_gen_ns / 1e9);
-    let gen_speedup = par_srv_per_sec / serial_srv_per_sec;
-    println!(
-        "  pinglist_gen   serial {serial_srv_per_sec:>8.0} srv/s    parallel {par_srv_per_sec:>8.0} srv/s    speedup {gen_speedup:.2}x"
-    );
+    let srv_per_sec = (servers * gen_reps) as f64 / (gen_ns / 1e9);
+    println!("  pinglist_gen   {srv_per_sec:>8.0} srv/s");
 
-    // --- window aggregation: serial vs parallel over one synthetic corpus.
+    // --- window aggregation over one synthetic corpus.
     let record_count = if args.smoke { 50_000u64 } else { 400_000 };
     let records: Vec<ProbeRecord> = (0..record_count)
         .map(|i| {
@@ -473,19 +360,9 @@ fn main() {
         })
         .collect();
     black_box(WindowAggregate::build(records.iter()).pairs.len());
-    let serial_start = Instant::now();
-    let serial_agg = WindowAggregate::build(records.iter());
-    let serial_agg_ns = serial_start.elapsed().as_nanos() as f64;
-    let par_start = Instant::now();
-    let par_agg = WindowAggregate::build_par_threads(&records, threads);
-    let par_agg_ns = par_start.elapsed().as_nanos() as f64;
-    assert_eq!(serial_agg, par_agg, "parallel aggregation diverged");
-    let serial_rec_per_sec = record_count as f64 / (serial_agg_ns / 1e9);
-    let par_rec_per_sec = record_count as f64 / (par_agg_ns / 1e9);
-    let agg_speedup = par_rec_per_sec / serial_rec_per_sec;
-    println!(
-        "  aggregation    serial {serial_rec_per_sec:>8.0} rec/s    parallel {par_rec_per_sec:>8.0} rec/s    speedup {agg_speedup:.2}x"
-    );
+    let (agg_ns, _) = time_ns(|| WindowAggregate::build(records.iter()).record_count);
+    let agg_rec_per_sec = record_count as f64 / (agg_ns / 1e9);
+    println!("  aggregation    {agg_rec_per_sec:>8.0} rec/s");
 
     // --- tick path: ingest-time partials + merge-based rollups. The same
     // corpus as the aggregation section, respaced to span one hour (full)
@@ -552,7 +429,7 @@ fn main() {
         .merged_window_aggregate(SimTime(0), SimTime(HOUR_US));
     let hourly_merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
     let rebuild_start = Instant::now();
-    let rebuilt = pipeline.rebuild_window_aggregate(SimTime(0), SimTime(HOUR_US));
+    let rebuilt = golden::rebuild_window(&pipeline, SimTime(0), SimTime(HOUR_US));
     let hourly_rebuild_ms = rebuild_start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         merged, rebuilt,
@@ -726,7 +603,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"pingmesh-bench-hotpath/4\",\n",
+            "  \"schema\": \"pingmesh-bench-hotpath/6\",\n",
             "  \"smoke\": {smoke},\n",
             "  \"threads\": {threads},\n",
             "  \"resolver\": {{\n",
@@ -749,15 +626,11 @@ fn main() {
             "  }},\n",
             "  \"pinglist\": {{\n",
             "    \"servers\": {servers},\n",
-            "    \"serial_servers_per_sec\": {sgen:.0},\n",
-            "    \"parallel_servers_per_sec\": {pgen:.0},\n",
-            "    \"speedup\": {gspeed:.2}\n",
+            "    \"serial_servers_per_sec\": {sgen:.0}\n",
             "  }},\n",
             "  \"aggregate\": {{\n",
             "    \"records\": {records},\n",
-            "    \"serial_records_per_sec\": {sagg:.0},\n",
-            "    \"parallel_records_per_sec\": {pagg:.0},\n",
-            "    \"speedup\": {aspeed:.2}\n",
+            "    \"serial_records_per_sec\": {sagg:.0}\n",
             "  }},\n",
             "  \"tick\": {{\n",
             "    \"records\": {records},\n",
@@ -814,13 +687,9 @@ fn main() {
         eqsched = singles_ns_per_op,
         eqschedb = batch_ns_per_op,
         servers = servers,
-        sgen = serial_srv_per_sec,
-        pgen = par_srv_per_sec,
-        gspeed = gen_speedup,
+        sgen = srv_per_sec,
         records = record_count,
-        sagg = serial_rec_per_sec,
-        pagg = par_rec_per_sec,
-        aspeed = agg_speedup,
+        sagg = agg_rec_per_sec,
         twin = n_windows,
         tingest = ingest_rec_per_sec,
         tten = ten_min_tick_ms,
@@ -898,9 +767,6 @@ fn main() {
                 "deferred metric accounting >= 2x cheaper than per-op atomics",
                 acct_speedup >= 2.0,
             );
-            if threads >= 2 {
-                gate("generate_all >= 2x faster with threads", gen_speedup >= 2.0);
-            }
             gate(
                 "hourly merge >= 5x faster than rebuild-from-raw",
                 merge_speedup >= 5.0,

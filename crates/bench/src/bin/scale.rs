@@ -129,7 +129,7 @@ fn run_point(p: &Point, shards: usize, sim_mins: u64) -> Measured {
 
 fn main() {
     let args = parse_args();
-    let threads = pingmesh_par::max_threads();
+    let threads = pingmesh_bench::available_threads();
     header(
         "scale",
         if args.smoke {

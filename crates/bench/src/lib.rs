@@ -16,6 +16,12 @@ use pingmesh_core::types::{LatencyHistogram, SimDuration, SimTime};
 use pingmesh_core::{Orchestrator, OrchestratorConfig};
 use std::sync::Arc;
 
+/// The host's available parallelism (floored at 1), recorded in every
+/// `BENCH_*.json` so a number is read against the cores it ran on.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Builds the two-DC scenario used by the latency experiments: DC1 with
 /// the throughput-heavy US-West profile, DC2 with the latency-sensitive
 /// US-Central profile.
@@ -72,15 +78,13 @@ pub fn run_and_aggregate(
         o.run_until(next);
         let scan_to = (next - lag).max(scanned_to);
         if scan_to > scanned_to {
-            // Borrowed extent slices, sharded across threads — no
-            // intermediate record collect.
+            // Borrowed extent slices folded in place — no intermediate
+            // record collect.
             let chunks = o
                 .pipeline()
                 .store
                 .scan_all_window_chunks(scanned_to, scan_to);
-            let chunk_agg =
-                WindowAggregate::build_from_chunks(&chunks, pingmesh_par::max_threads(), None);
-            agg.merge(&chunk_agg);
+            agg.merge(&WindowAggregate::build(chunks.into_iter().flatten()));
             // Retire with one extra lag of slack so late uploads whose
             // timestamps precede scan_to are never double-counted or lost.
             o.pipeline_mut().store.retire_before(scanned_to - lag);
@@ -92,8 +96,7 @@ pub fn run_and_aggregate(
     // uploaded, then fold the remainder.
     o.run_until(until + lag);
     let chunks = o.pipeline().store.scan_all_window_chunks(scanned_to, until);
-    let tail = WindowAggregate::build_from_chunks(&chunks, pingmesh_par::max_threads(), None);
-    agg.merge(&tail);
+    agg.merge(&WindowAggregate::build(chunks.into_iter().flatten()));
     agg
 }
 

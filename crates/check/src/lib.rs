@@ -28,6 +28,7 @@
 //! bit.
 
 pub mod digest;
+pub mod golden;
 pub mod oracle;
 pub mod rng;
 pub mod run;

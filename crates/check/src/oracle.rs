@@ -13,8 +13,8 @@
 //!    commutatively and associatively, and re-ingesting the same records
 //!    shuffled into different batches/extents/streams yields a bit-equal
 //!    merged aggregate (shard-partition independence). The store's
-//!    merge-based rollup equals a from-raw rebuild at 1, 2, and max
-//!    worker threads.
+//!    merge-based rollup equals the serial from-raw rebuild and an
+//!    in-order merge of chunk folds over 2- and 7-way splits.
 //! 3. **Quantile sanity** — histogram quantiles are monotone in `q`,
 //!    stay inside `[min, max]`, and track the exact nearest-rank
 //!    quantile of the raw samples to within one log-bucket.
@@ -40,6 +40,7 @@
 //!    ECMP, drained podsets are out of pinglist generation, and nothing
 //!    is excluded that the engine does not own.
 
+use crate::golden;
 use crate::rng::XorShift;
 use crate::scenario::ScenarioSpec;
 use pingmesh_core::Orchestrator;
@@ -118,24 +119,40 @@ pub fn check_conservation(orch: &Orchestrator) -> Vec<Violation> {
     out
 }
 
-/// Oracle 2a: the store's merge-based window rollup is bit-equal to a
-/// from-raw rebuild at 1, 2, and max worker threads.
+/// Oracle 2a: the store's merge-based window rollup is bit-equal to the
+/// serial from-raw rebuild, and to an in-order merge of per-chunk folds
+/// over 2- and 7-way contiguous splits of the same records.
 pub fn check_window_partials(orch: &Orchestrator) -> Vec<Violation> {
     let mut out = Vec::new();
     let end = aligned_end(orch);
-    let store = &orch.pipeline().store;
-    let merged = store.merged_window_aggregate(SimTime::ZERO, end);
-    let records = store.collect_window_records(SimTime::ZERO, end);
-    let services = orch.pipeline().services();
-    for threads in [1, 2, pingmesh_par::max_threads()] {
-        let rebuilt = WindowAggregate::build_par_threads_with(&records, threads, Some(services));
-        if rebuilt != merged {
+    let pipeline = orch.pipeline();
+    let merged = pipeline.store.merged_window_aggregate(SimTime::ZERO, end);
+    let rebuilt = golden::rebuild_window(pipeline, SimTime::ZERO, end);
+    if rebuilt != merged {
+        out.push(violation(
+            "crdt",
+            format!(
+                "merged partials disagree with the serial rebuild ({} vs {} records)",
+                merged.record_count, rebuilt.record_count
+            ),
+        ));
+    }
+    let records = pipeline.store.collect_window_records(SimTime::ZERO, end);
+    for splits in [2, 7] {
+        let mut folded = WindowAggregate::default();
+        for chunk in records.chunks(records.len().div_ceil(splits).max(1)) {
+            folded.merge(&WindowAggregate::build_with(
+                chunk,
+                Some(pipeline.services()),
+            ));
+        }
+        if folded != merged {
             out.push(violation(
                 "crdt",
                 format!(
-                    "merged partials disagree with a {threads}-thread rebuild \
+                    "merged partials disagree with a merge of {splits} chunk folds \
                      ({} vs {} records)",
-                    merged.record_count, rebuilt.record_count
+                    merged.record_count, folded.record_count
                 ),
             ));
         }

@@ -302,26 +302,14 @@ impl PinglistGenerator {
         }
     }
 
-    /// Generates pinglists for every server in the topology, sharding the
-    /// per-server work across all available cores. Output is identical to
-    /// a serial run (lists indexed by server id, in order).
+    /// Generates pinglists for every server in the topology (lists indexed
+    /// by server id, in order).
     pub fn generate_all(&self, topo: &Topology, generation: u64) -> PinglistSet {
-        self.generate_all_threads(topo, generation, pingmesh_par::max_threads())
-    }
-
-    /// [`PinglistGenerator::generate_all`] with an explicit worker-thread
-    /// count (`1` = fully serial). Results do not depend on `threads`.
-    pub fn generate_all_threads(
-        &self,
-        topo: &Topology,
-        generation: u64,
-        threads: usize,
-    ) -> PinglistSet {
         let started = std::time::Instant::now();
-        let servers: Vec<ServerId> = topo.servers().collect();
-        let lists: Vec<Pinglist> = pingmesh_par::par_map_threads(threads, &servers, |&s| {
-            self.generate_for(topo, s, generation)
-        });
+        let lists: Vec<Pinglist> = topo
+            .servers()
+            .map(|s| self.generate_for(topo, s, generation))
+            .collect();
         let set = PinglistSet { generation, lists };
         pingmesh_obs::registry()
             .counter("pingmesh_controller_generations_total")
@@ -589,22 +577,6 @@ mod tests {
             pingmesh_types::constants::MAX_PAYLOAD_BYTES as u32
         );
         assert_eq!(g.config().payload_interval_factor, 1);
-    }
-
-    #[test]
-    fn generate_all_parallel_matches_serial() {
-        let t = topo();
-        let g = default_gen();
-        let serial = g.generate_all_threads(&t, 3, 1);
-        for threads in [2, 4, 13] {
-            let par = g.generate_all_threads(&t, 3, threads);
-            assert_eq!(par.generation, serial.generation);
-            assert_eq!(par.lists.len(), serial.lists.len());
-            for (p, s) in par.lists.iter().zip(&serial.lists) {
-                assert_eq!(p.server, s.server);
-                assert_eq!(p.entries, s.entries, "threads={threads}");
-            }
-        }
     }
 
     #[test]

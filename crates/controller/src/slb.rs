@@ -9,11 +9,11 @@
 //! automatically removed from rotation by the SLB." (§3.3.2)
 //!
 //! [`SimController`] is one replica with an availability timeline;
-//! [`ControllerCluster`] is the VIP: it round-robins across replicas and
-//! retries on failure, so the cluster answers as long as one replica is
-//! alive. Removing the pinglist files (`clear_pinglists`) is the paper's
-//! global kill switch: agents that see "controller up, no pinglist"
-//! fail-closed and stop probing.
+//! [`ControllerCluster`] is the VIP: each request starts at a replica keyed
+//! on the requesting server and fails over to the next, so the cluster
+//! answers as long as one replica is alive. Removing the pinglist files
+//! (`clear_pinglists`) is the paper's global kill switch: agents that see
+//! "controller up, no pinglist" fail-closed and stop probing.
 
 use crate::genalgo::PinglistSet;
 use pingmesh_types::{Pinglist, PingmeshError, ServerId, SimTime};
@@ -90,7 +90,6 @@ impl SimController {
 #[derive(Debug, Clone, Default)]
 pub struct ControllerCluster {
     replicas: Vec<SimController>,
-    rr: usize,
 }
 
 impl ControllerCluster {
@@ -98,7 +97,6 @@ impl ControllerCluster {
     pub fn new(n: usize) -> Self {
         Self {
             replicas: (0..n.max(1)).map(|_| SimController::new()).collect(),
-            rr: 0,
         }
     }
 
@@ -144,54 +142,11 @@ impl ControllerCluster {
         self.replicas.iter().any(|r| r.has_pinglists())
     }
 
-    /// One agent request through the VIP: starts at the round-robin
-    /// cursor, fails over to the next replica until one answers.
-    pub fn fetch(
-        &mut self,
-        server: ServerId,
-        t: SimTime,
-    ) -> Result<Option<Pinglist>, PingmeshError> {
-        let n = self.replicas.len();
-        let start = self.rr;
-        self.rr = (self.rr + 1) % n;
-        let registry = pingmesh_obs::registry();
-        registry
-            .counter("pingmesh_controller_slb_fetches_total")
-            .inc();
-        let mut last_err = None;
-        for k in 0..n {
-            let idx = (start + k) % n;
-            match self.replicas[idx].fetch(server, t) {
-                Ok(r) => {
-                    if k > 0 {
-                        // The round-robin pick was down; the VIP failed
-                        // over to a healthy replica.
-                        registry
-                            .counter("pingmesh_controller_slb_failovers_total")
-                            .inc();
-                        pingmesh_obs::emit_sim!(t; Debug, "controller.slb", "failover",
-                            "replica" => idx as u64, "skipped" => k as u64);
-                    }
-                    return Ok(r);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        registry
-            .counter("pingmesh_controller_slb_all_down_total")
-            .inc();
-        pingmesh_obs::emit_sim!(t; Warn, "controller.slb", "all_replicas_down",
-            "replicas" => n as u64);
-        Err(last_err.expect("at least one replica"))
-    }
-
-    /// Cursor-free variant of [`ControllerCluster::fetch`] for concurrent
-    /// callers (the sharded engine's agent polls): the starting replica is
-    /// keyed on the requesting server instead of the shared round-robin
-    /// cursor, so the outcome never depends on fleet-wide poll order. All
-    /// replicas serve identical files and every one is tried on failover,
-    /// hence the result matches [`ControllerCluster::fetch`] whenever any
-    /// replica is up.
+    /// One agent request through the VIP: starts at the replica keyed on
+    /// the requesting server (`server.index() % replicas`) and fails over
+    /// to the next until one answers. No shared cursor, so concurrent
+    /// callers (the sharded engine's agent polls) get an outcome that
+    /// never depends on fleet-wide poll order.
     pub fn fetch_keyed(
         &self,
         server: ServerId,
@@ -209,6 +164,8 @@ impl ControllerCluster {
             match self.replicas[idx].fetch(server, t) {
                 Ok(r) => {
                     if k > 0 {
+                        // The keyed replica was down; the VIP failed over
+                        // to a healthy one.
                         registry
                             .counter("pingmesh_controller_slb_failovers_total")
                             .inc();
@@ -267,9 +224,9 @@ mod tests {
         let mut cluster = ControllerCluster::new(2);
         cluster.set_pinglists(lists());
         cluster.replica_mut(0).add_down_window(SimTime(0), None);
-        for _ in 0..10 {
-            // Regardless of the round-robin cursor, requests succeed.
-            let got = cluster.fetch(ServerId(1), SimTime(50)).unwrap();
+        for s in 0..10 {
+            // Whichever replica the server is keyed to, requests succeed.
+            let got = cluster.fetch_keyed(ServerId(s), SimTime(50)).unwrap();
             assert!(got.is_some());
         }
     }
@@ -281,7 +238,7 @@ mod tests {
         for i in 0..3 {
             cluster.replica_mut(i).add_down_window(SimTime(0), None);
         }
-        assert!(cluster.fetch(ServerId(0), SimTime(1)).is_err());
+        assert!(cluster.fetch_keyed(ServerId(0), SimTime(1)).is_err());
         assert!(!cluster.any_up(SimTime(1)));
     }
 
@@ -289,22 +246,47 @@ mod tests {
     fn clearing_pinglists_stops_serving_but_cluster_stays_up() {
         let mut cluster = ControllerCluster::new(2);
         cluster.set_pinglists(lists());
-        assert!(cluster.fetch(ServerId(0), SimTime(0)).unwrap().is_some());
+        assert!(cluster
+            .fetch_keyed(ServerId(0), SimTime(0))
+            .unwrap()
+            .is_some());
         cluster.clear_pinglists();
         // Up, answering, but with no pinglist — the fleet kill switch.
         assert!(cluster.any_up(SimTime(0)));
-        assert!(cluster.fetch(ServerId(0), SimTime(0)).unwrap().is_none());
+        assert!(cluster
+            .fetch_keyed(ServerId(0), SimTime(0))
+            .unwrap()
+            .is_none());
     }
 
     #[test]
-    fn round_robin_spreads_requests() {
-        // With both replicas up, successive fetches alternate the starting
-        // replica; we can only observe this indirectly, so just check many
-        // fetches all succeed and the cursor wraps without panic.
-        let mut cluster = ControllerCluster::new(2);
-        cluster.set_pinglists(lists());
-        for _ in 0..100 {
-            assert!(cluster.fetch(ServerId(2), SimTime(0)).unwrap().is_some());
+    fn keyed_start_spreads_servers_over_replicas() {
+        // Each replica holds a set stamped with its own index as the
+        // generation, so an answer names the replica that served it.
+        let topo = Topology::build(TopologySpec::single_tiny()).unwrap();
+        let generator = PinglistGenerator::new(GeneratorConfig::default());
+        let n = 3;
+        let mut cluster = ControllerCluster::new(n);
+        for i in 0..n {
+            let set = generator.generate_all(&topo, i as u64);
+            cluster.replica_mut(i).set_pinglists(Arc::new(set));
         }
+        let mut served = vec![0u32; n];
+        for s in topo.servers() {
+            let list = cluster.fetch_keyed(s, SimTime(0)).unwrap().unwrap();
+            assert_eq!(list.generation, (s.index() % n) as u64, "server {s}");
+            served[list.generation as usize] += 1;
+        }
+        assert!(
+            served.iter().all(|&c| c > 0),
+            "servers must land on every replica: {served:?}"
+        );
+        // With its keyed replica down, a server fails over to the next one.
+        cluster.replica_mut(0).add_down_window(SimTime(0), None);
+        let list = cluster
+            .fetch_keyed(ServerId(0), SimTime(0))
+            .unwrap()
+            .unwrap();
+        assert_eq!(list.generation, 1);
     }
 }

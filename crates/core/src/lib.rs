@@ -47,6 +47,7 @@
 
 pub mod mitigation;
 pub mod orchestrator;
+mod par;
 pub mod repair;
 pub mod watchdog;
 

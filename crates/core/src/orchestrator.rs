@@ -32,6 +32,7 @@
 //! thread spawn.
 
 use crate::mitigation::{self, MitDevice, VERIFY_DST_PORT};
+use crate::par;
 use crate::repair::RepairService;
 use crate::watchdog::detect_podset_power_down;
 use pingmesh_agent::{AgentConfig, AgentFleet, AgentView, ControllerPollOutcome};
@@ -535,11 +536,12 @@ impl Orchestrator {
                 poll_interval: self.config.agent.controller_poll_interval,
                 obs_enabled: pingmesh_obs::enabled(),
             };
+            // The serial engine skips the fan-out and its parallelism query,
+            // which reads the cgroup CPU quota (~23 µs) on every epoch.
             let counts = if self.shards.len() == 1 {
                 vec![self.shards[0].run_epoch(t_epoch, &ctx)]
             } else {
-                let threads = pingmesh_par::max_threads().min(self.shards.len());
-                pingmesh_par::par_map_mut_threads(threads, &mut self.shards, |_, sh| {
+                par::par_map_mut_threads(par::max_threads(), &mut self.shards, |sh| {
                     sh.run_epoch(t_epoch, &ctx)
                 })
             };

@@ -166,88 +166,6 @@ impl WindowAggregate {
         agg
     }
 
-    /// Below this record count the chunked build runs serially: spawning
-    /// threads costs more than folding the window.
-    const MIN_PAR_RECORDS: usize = 4_096;
-
-    /// Builds the aggregate from a window's records, sharding the fold
-    /// across all available cores (dShark-style map/merge: each worker
-    /// folds a contiguous chunk, chunks merge in order). Every counter in
-    /// the aggregate is a commutative sum and `merge` is applied in chunk
-    /// order, so the result is identical to [`WindowAggregate::build`]
-    /// for any thread count.
-    pub fn build_par(records: &[ProbeRecord]) -> Self {
-        Self::build_par_threads(records, pingmesh_par::max_threads())
-    }
-
-    /// [`WindowAggregate::build_par`] with an explicit worker-thread count
-    /// (`1` = fully serial).
-    pub fn build_par_threads(records: &[ProbeRecord], threads: usize) -> Self {
-        Self::build_par_threads_with(records, threads, None)
-    }
-
-    /// [`WindowAggregate::build_par_threads`] with optional per-service
-    /// attribution. Bit-equal to [`WindowAggregate::build_with`] for any
-    /// thread count.
-    pub fn build_par_threads_with(
-        records: &[ProbeRecord],
-        threads: usize,
-        services: Option<&ServiceMap>,
-    ) -> Self {
-        if threads <= 1 || records.len() < Self::MIN_PAR_RECORDS {
-            return Self::build_with(records, services);
-        }
-        let chunks =
-            pingmesh_par::par_chunks_threads(threads, records, |chunk: &[ProbeRecord]| {
-                Self::build_with(chunk, services)
-            });
-        let mut agg = WindowAggregate::default();
-        for chunk in &chunks {
-            agg.merge(chunk);
-        }
-        agg
-    }
-
-    /// Builds the aggregate from borrowed extent slices (the zero-copy
-    /// scan form, see `CosmosStore::scan_all_window_chunks`) without ever
-    /// concatenating records: slices are sharded across threads into
-    /// contiguous groups of near-equal total record count and each group
-    /// folds in place, so the only allocations are the per-group
-    /// aggregates. Bit-equal to folding the slices serially in order.
-    pub fn build_from_chunks(
-        chunks: &[&[ProbeRecord]],
-        threads: usize,
-        services: Option<&ServiceMap>,
-    ) -> Self {
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        let fold_group = |group: &[&[ProbeRecord]]| {
-            let mut agg = WindowAggregate::default();
-            for chunk in group {
-                for r in *chunk {
-                    match services {
-                        Some(s) => agg.fold_with_services(r, s),
-                        None => agg.fold(r),
-                    }
-                }
-            }
-            agg
-        };
-        if threads <= 1 || total < Self::MIN_PAR_RECORDS {
-            return fold_group(chunks);
-        }
-        let groups = pingmesh_par::par_weighted_groups_threads(
-            threads,
-            chunks,
-            |c| c.len() as u64,
-            fold_group,
-        );
-        let mut agg = WindowAggregate::default();
-        for g in &groups {
-            agg.merge(g);
-        }
-        agg
-    }
-
     /// Folds one record.
     pub fn fold(&mut self, r: &ProbeRecord) {
         self.record_count += 1;
@@ -397,7 +315,7 @@ impl WindowAggregate {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pingmesh_types::{PodId, ProbeKind, ProbeOutcome, SimDuration, SimTime};
 
@@ -585,19 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial_on_seeded_100k_corpus() {
-        let records = seeded_corpus(100_000);
-        assert!(records.len() >= WindowAggregate::MIN_PAR_RECORDS);
-        let serial = WindowAggregate::build(&records);
-        assert_eq!(serial.record_count, 100_000);
-        for threads in [1, 2, 3, 7, 16] {
-            let par = WindowAggregate::build_par_threads(&records, threads);
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        assert_eq!(WindowAggregate::build_par(&records), serial);
-    }
-
-    #[test]
     fn scope_maps_fold_by_source_scope() {
         let records = vec![
             rec(0, 2, 0, 1, 0, 0, 0, ok(260)),
@@ -615,26 +520,35 @@ mod tests {
     }
 
     #[test]
-    fn chunked_build_matches_contiguous_for_any_split() {
-        let records = seeded_corpus(20_000);
+    fn in_order_merge_of_irregular_chunk_folds_matches_build() {
+        let records = seeded_corpus(100_000);
         let serial = WindowAggregate::build(&records);
-        // Irregular split: slice lengths 1, 2, 4, ... then the remainder.
-        let mut chunks: Vec<&[ProbeRecord]> = Vec::new();
+        assert_eq!(serial.record_count, 100_000);
+        // Irregular split: chunk lengths 1, 2, 4, ... then the remainder.
+        let mut merged = WindowAggregate::default();
         let mut start = 0usize;
         let mut len = 1usize;
         while start < records.len() {
             let end = (start + len).min(records.len());
-            chunks.push(&records[start..end]);
+            merged.merge(&WindowAggregate::build(&records[start..end]));
             start = end;
             len *= 2;
         }
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                WindowAggregate::build_from_chunks(&chunks, threads, None),
-                serial,
-                "threads={threads}"
-            );
+        assert_eq!(merged, serial);
+    }
+
+    /// Folds `records` as `splits` contiguous chunks, each with its own
+    /// [`WindowAggregate::build_with`], and merges the folds in order.
+    pub(crate) fn build_split(
+        records: &[ProbeRecord],
+        splits: usize,
+        services: Option<&ServiceMap>,
+    ) -> WindowAggregate {
+        let mut agg = WindowAggregate::default();
+        for chunk in records.chunks(records.len().div_ceil(splits).max(1)) {
+            agg.merge(&WindowAggregate::build_with(chunk, services));
         }
+        agg
     }
 
     #[test]

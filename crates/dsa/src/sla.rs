@@ -10,12 +10,11 @@
 //! the same mergeable [`ScopeStats`] the store's window partials fold at
 //! upload time, so the 10-minute job derives its report from a finished
 //! [`WindowAggregate`] in O(scopes) via [`SlaComputer::compute_from_aggregate`]
-//! instead of re-walking raw records. The per-record
-//! [`SlaComputer::compute`] path is kept as the golden reference.
+//! instead of re-walking raw records. The tests pin it against a
+//! per-record fold over the same records.
 
-use crate::agg::{fold_pair_outcome, PairKey, ScopeStats, WindowAggregate};
-use pingmesh_topology::{ServiceMap, Topology};
-use pingmesh_types::{DcId, PairStats, PodId, PodsetId, ProbeRecord, ServerId, ServiceId};
+use crate::agg::{PairKey, ScopeStats, WindowAggregate};
+use pingmesh_types::{DcId, PairStats, PodId, PodsetId, ServerId, ServiceId};
 use std::collections::HashMap;
 
 /// SLA metrics of one scope over one window.
@@ -50,13 +49,37 @@ pub struct SlaReport {
 pub struct SlaComputer;
 
 impl SlaComputer {
-    /// One pass over the window's records. `services` maps service → the
-    /// servers it runs on; a probe counts toward a service when both
-    /// endpoints host it.
-    pub fn compute<'a>(
-        &self,
+    /// Derive the window's report from an already-folded
+    /// [`WindowAggregate`] — O(scopes) map clones, no raw-record pass.
+    ///
+    /// Bit-equal to a per-record fold over the same records, provided the
+    /// aggregate was folded with the same service map (per-service scopes
+    /// are only present when it was).
+    pub fn compute_from_aggregate(&self, agg: &WindowAggregate) -> SlaReport {
+        SlaReport {
+            per_server: agg.per_server.clone(),
+            per_pod: agg.per_pod.clone(),
+            per_podset: agg.per_podset.clone(),
+            per_dc: agg.per_dc.clone(),
+            per_dc_pair: agg.per_dc_pair.clone(),
+            per_service: agg.per_service.clone(),
+            per_pair: agg.pairs.clone(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::fold_pair_outcome;
+    use pingmesh_topology::{ServiceMap, Topology, TopologySpec};
+    use pingmesh_types::{ProbeKind, ProbeOutcome, ProbeRecord, QosClass, SimDuration, SimTime};
+
+    /// The golden per-record fold: one pass over the window's records.
+    /// `services` maps service → the servers it runs on; a probe counts
+    /// toward a service when both endpoints host it.
+    fn compute<'a>(
         records: impl IntoIterator<Item = &'a ProbeRecord>,
-        _topo: &Topology,
         services: &ServiceMap,
     ) -> SlaReport {
         let mut rep = SlaReport::default();
@@ -103,31 +126,6 @@ impl SlaComputer {
         rep
     }
 
-    /// Derive the window's report from an already-folded
-    /// [`WindowAggregate`] — O(scopes) map clones, no raw-record pass.
-    ///
-    /// Bit-equal to [`SlaComputer::compute`] over the same records,
-    /// provided the aggregate was folded with the same service map
-    /// (per-service scopes are only present when it was).
-    pub fn compute_from_aggregate(&self, agg: &WindowAggregate) -> SlaReport {
-        SlaReport {
-            per_server: agg.per_server.clone(),
-            per_pod: agg.per_pod.clone(),
-            per_podset: agg.per_podset.clone(),
-            per_dc: agg.per_dc.clone(),
-            per_dc_pair: agg.per_dc_pair.clone(),
-            per_service: agg.per_service.clone(),
-            per_pair: agg.pairs.clone(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pingmesh_topology::TopologySpec;
-    use pingmesh_types::{ProbeKind, ProbeOutcome, QosClass, SimDuration, SimTime};
-
     fn topo() -> Topology {
         Topology::build(TopologySpec::single_tiny()).unwrap()
     }
@@ -167,7 +165,7 @@ mod tests {
             rec(&t, 0, 5, ok(300)),
             rec(&t, 4, 0, ok(250)),
         ];
-        let rep = SlaComputer.compute(&records, &t, &ServiceMap::new());
+        let rep = compute(&records, &ServiceMap::new());
         // Server 0 probed twice; server 4 once.
         assert_eq!(rep.per_server[&ServerId(0)].stats.ok, 2);
         assert_eq!(rep.per_server[&ServerId(4)].stats.ok, 1);
@@ -189,7 +187,7 @@ mod tests {
             records.push(rec(&t, 0, 1, ok(250)));
         }
         records.push(rec(&t, 0, 1, ok(3_000_250)));
-        let rep = SlaComputer.compute(&records, &t, &ServiceMap::new());
+        let rep = compute(&records, &ServiceMap::new());
         let sla = &rep.per_server[&ServerId(0)];
         assert!((sla.drop_rate() - 0.01).abs() < 1e-9);
         assert!(sla.p50().unwrap().as_micros() < 300);
@@ -208,7 +206,7 @@ mod tests {
             rec(&t, 0, 5, ok(300)), // dst not in service
             rec(&t, 5, 1, ok(300)), // src not in service
         ];
-        let rep = SlaComputer.compute(&records, &t, &services);
+        let rep = compute(&records, &services);
         assert_eq!(rep.per_service[&svc].stats.ok, 1);
     }
 
@@ -220,7 +218,7 @@ mod tests {
             rec(&t, 0, 1, ProbeOutcome::Timeout),
             rec(&t, 0, 2, ok(220)),
         ];
-        let rep = SlaComputer.compute(&records, &t, &ServiceMap::new());
+        let rep = compute(&records, &ServiceMap::new());
         let dead = rep.per_pair[&PairKey {
             src: ServerId(0),
             dst: ServerId(1),
@@ -248,7 +246,7 @@ mod tests {
             rec(&t, cross.0, 0, ok(61_000)),
             rec(&t, 0, 1, ok(200)), // intra-DC: not in the pair scope
         ];
-        let rep = SlaComputer.compute(&records, &t, &ServiceMap::new());
+        let rep = compute(&records, &ServiceMap::new());
         assert_eq!(rep.per_dc_pair.len(), 2);
         assert_eq!(rep.per_dc_pair[&(DcId(0), DcId(1))].stats.ok, 1);
         assert_eq!(rep.per_dc_pair[&(DcId(1), DcId(0))].stats.ok, 1);
@@ -256,8 +254,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_empty_report() {
-        let t = topo();
-        let rep = SlaComputer.compute(&[], &t, &ServiceMap::new());
+        let rep = compute(&[], &ServiceMap::new());
         assert!(rep.per_server.is_empty());
         assert!(rep.per_dc.is_empty());
     }
@@ -277,7 +274,7 @@ mod tests {
             rec(&t, 4, 0, ok(260)),
             rec(&t, 5, 2, ProbeOutcome::Refused),
         ];
-        let golden = SlaComputer.compute(&records, &t, &services);
+        let golden = compute(&records, &services);
         let agg = WindowAggregate::build_with(&records, Some(&services));
         let derived = SlaComputer.compute_from_aggregate(&agg);
         assert_eq!(derived, golden);

@@ -203,6 +203,12 @@ macro_rules! emit_sim {
     };
 }
 
+/// Serializes the unit tests that set, or rely on, the process-global
+/// enable flag (and the global tracer): run in parallel, a test that turns
+/// the flag off makes another miss the event it just emitted.
+#[cfg(test)]
+pub(crate) static TEST_SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,6 +216,7 @@ mod tests {
 
     #[test]
     fn emit_lands_in_global_ring() {
+        let _serial = TEST_SERIAL.lock();
         set_enabled(true);
         let before = events().last_seq();
         emit!(Info, "obs.test", "lib_emit", "n" => 3u64, "ok" => true);
@@ -222,6 +229,7 @@ mod tests {
 
     #[test]
     fn emit_sim_carries_virtual_time() {
+        let _serial = TEST_SERIAL.lock();
         set_enabled(true);
         let before = events().last_seq();
         emit_sim!(SimTime(77); Debug, "obs.test", "sim_emit");
@@ -234,6 +242,7 @@ mod tests {
 
     #[test]
     fn disabled_gates_emission_and_field_evaluation() {
+        let _serial = TEST_SERIAL.lock();
         set_enabled(true);
         let before = events().last_seq();
         set_enabled(false);
@@ -258,6 +267,7 @@ mod tests {
 
     #[test]
     fn sink_sees_events() {
+        let _serial = TEST_SERIAL.lock();
         set_enabled(true);
         static HITS: AtomicUsize = AtomicUsize::new(0);
         install_sink(|ev| {

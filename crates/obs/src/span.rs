@@ -71,6 +71,7 @@ mod tests {
 
     #[test]
     fn span_emits_duration_event() {
+        let _serial = crate::TEST_SERIAL.lock();
         crate::set_enabled(true);
         let before = crate::events().last_seq();
         {
@@ -90,6 +91,7 @@ mod tests {
 
     #[test]
     fn span_with_sim_bounds_reports_sim_duration() {
+        let _serial = crate::TEST_SERIAL.lock();
         crate::set_enabled(true);
         let before = crate::events().last_seq();
         {

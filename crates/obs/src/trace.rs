@@ -480,10 +480,6 @@ mod tests {
         }
     }
 
-    /// Serializes the tests that reset and re-arm the process-global tracer;
-    /// run in parallel they clear each other's armed traces.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
     fn record(src: ServerId, dst: ServerId, ts: SimTime) -> ProbeRecord {
         ProbeRecord {
             ts,
@@ -544,7 +540,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_emits_every_stage_under_one_id() {
-        let _serial = SERIAL.lock();
+        let _serial = crate::TEST_SERIAL.lock();
         crate::set_enabled(true);
         reset();
         set_sample_mod(1);
@@ -595,7 +591,7 @@ mod tests {
 
     #[test]
     fn unsampled_records_pass_untouched() {
-        let _serial = SERIAL.lock();
+        let _serial = crate::TEST_SERIAL.lock();
         crate::set_enabled(true);
         reset();
         // Modulus so large nothing samples (fnv output is "random").
@@ -614,7 +610,7 @@ mod tests {
 
     #[test]
     fn rearming_a_live_trace_is_idempotent() {
-        let _serial = SERIAL.lock();
+        let _serial = crate::TEST_SERIAL.lock();
         crate::set_enabled(true);
         reset();
         set_sample_mod(1);

@@ -400,121 +400,6 @@ mod tests {
         assert_eq!(all_excluded, r.resolve(a, b, &tu));
     }
 
-    /// The pre-refactor resolver, verbatim: collects candidate sets into
-    /// `Vec`s per call and indexes the filtered set. Kept here as the
-    /// golden reference the zero-allocation resolver must match
-    /// hop-for-hop.
-    mod legacy {
-        use super::*;
-
-        fn pick<T: Copy>(items: &[T], hash: u64, s: u64) -> T {
-            items[(mix(hash, s) % items.len() as u64) as usize]
-        }
-
-        fn pick_sw(
-            items: &[SwitchId],
-            hash: u64,
-            s: u64,
-            excluded: &dyn Fn(SwitchId) -> bool,
-        ) -> SwitchId {
-            let avail: Vec<SwitchId> = items.iter().copied().filter(|&x| !excluded(x)).collect();
-            if avail.is_empty() {
-                pick(items, hash, s)
-            } else {
-                pick(&avail, hash, s)
-            }
-        }
-
-        pub fn resolve(
-            t: &Topology,
-            src: ServerId,
-            dst: ServerId,
-            tuple: &FiveTuple,
-            excluded: &dyn Fn(SwitchId) -> bool,
-        ) -> Vec<DeviceId> {
-            let s = *t.server(src);
-            let d = *t.server(dst);
-            let h = tuple.ecmp_hash();
-            let mut hops: Vec<DeviceId> = Vec::with_capacity(10);
-            hops.push(src.into());
-            if src == dst {
-                return hops;
-            }
-            hops.push(t.tor_of_pod(s.pod).into());
-            if s.pod == d.pod {
-                hops.push(dst.into());
-                return hops;
-            }
-            if s.podset == d.podset {
-                let leaves: Vec<SwitchId> = t.leaves_of_podset(s.podset).collect();
-                hops.push(pick_sw(&leaves, h, salt::UP_LEAF, excluded).into());
-                hops.push(t.tor_of_pod(d.pod).into());
-                hops.push(dst.into());
-                return hops;
-            }
-            if s.dc == d.dc {
-                let up_leaves: Vec<SwitchId> = t.leaves_of_podset(s.podset).collect();
-                hops.push(pick_sw(&up_leaves, h, salt::UP_LEAF, excluded).into());
-                let spines: Vec<SwitchId> = t.spines_of_dc(s.dc).collect();
-                hops.push(pick_sw(&spines, h, salt::UP_SPINE, excluded).into());
-                let down_leaves: Vec<SwitchId> = t.leaves_of_podset(d.podset).collect();
-                hops.push(pick_sw(&down_leaves, h, salt::DOWN_LEAF, excluded).into());
-                hops.push(t.tor_of_pod(d.pod).into());
-                hops.push(dst.into());
-                return hops;
-            }
-            let up_leaves: Vec<SwitchId> = t.leaves_of_podset(s.podset).collect();
-            hops.push(pick_sw(&up_leaves, h, salt::UP_LEAF, excluded).into());
-            let up_spines: Vec<SwitchId> = t.spines_of_dc(s.dc).collect();
-            hops.push(pick_sw(&up_spines, h, salt::UP_SPINE, excluded).into());
-            let up_borders: Vec<SwitchId> = t.borders_of_dc(s.dc).collect();
-            hops.push(pick_sw(&up_borders, h, salt::UP_BORDER, excluded).into());
-            let down_borders: Vec<SwitchId> = t.borders_of_dc(d.dc).collect();
-            hops.push(pick_sw(&down_borders, h, salt::DOWN_BORDER, excluded).into());
-            let down_spines: Vec<SwitchId> = t.spines_of_dc(d.dc).collect();
-            hops.push(pick_sw(&down_spines, h, salt::DOWN_SPINE, excluded).into());
-            let down_leaves: Vec<SwitchId> = t.leaves_of_podset(d.podset).collect();
-            hops.push(pick_sw(&down_leaves, h, salt::DOWN_LEAF, excluded).into());
-            hops.push(t.tor_of_pod(d.pod).into());
-            hops.push(dst.into());
-            hops
-        }
-    }
-
-    #[test]
-    fn resolver_matches_legacy_golden_on_sampled_grid() {
-        // Every (src, dst) pair over a strided server sample, three source
-        // ports each, with and without exclusions: the refactored resolver
-        // must reproduce the pre-refactor hop sequence exactly.
-        let t = topo();
-        let r = Router::new(&t);
-        let sample: Vec<ServerId> = t.servers().step_by(5).collect();
-        assert!(sample.len() >= 12, "grid too small to be meaningful");
-        let mut cases = 0u32;
-        for &a in &sample {
-            for &b in &sample {
-                for sp in [1_000u16, 22_222, 60_001] {
-                    let tu = tuple_for(&t, a, b, sp);
-                    let golden = legacy::resolve(&t, a, b, &tu, &|_| false);
-                    assert_eq!(r.resolve(a, b, &tu).hops, golden, "{a}->{b} sp={sp}");
-                    // Exclusion grid: drop one spine and one leaf per DC.
-                    let excl = |sw: SwitchId| {
-                        (sw.tier == SwitchTier::Spine || sw.tier == SwitchTier::Leaf)
-                            && sw.index % 4 == 1
-                    };
-                    let golden_x = legacy::resolve(&t, a, b, &tu, &excl);
-                    assert_eq!(
-                        r.resolve_excluding(a, b, &tu, &excl).hops,
-                        golden_x,
-                        "excluding: {a}->{b} sp={sp}"
-                    );
-                    cases += 2;
-                }
-            }
-        }
-        assert!(cases >= 1_000, "grid covered only {cases} cases");
-    }
-
     #[test]
     fn forward_and_reverse_paths_may_differ_but_share_endpoints() {
         let t = topo();

@@ -10,7 +10,7 @@
 use pingmesh::dsa::agg::WindowAggregate;
 use pingmesh::dsa::sla::SlaComputer;
 use pingmesh::realmode::LocalCluster;
-use pingmesh::topology::{ServiceMap, TopologySpec};
+use pingmesh::topology::TopologySpec;
 use pingmesh::types::{ServerId, SimTime};
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 2)]
@@ -56,7 +56,7 @@ async fn main() {
         .collect();
     drop(store);
     let agg = WindowAggregate::build(records.iter());
-    let rep = SlaComputer.compute(records.iter(), &topo, &ServiceMap::new());
+    let rep = SlaComputer.compute_from_aggregate(&agg);
 
     println!("\nper-scope SLAs from real localhost RTTs:");
     for dc in topo.dcs() {
